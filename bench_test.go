@@ -103,12 +103,12 @@ func BenchmarkSurvivalTrialB2(b *testing.B) {
 }
 
 // BenchmarkSurvivalTrialScratchB2 is BenchmarkSurvivalTrialB2 with the
-// per-worker scratch the parallel engine uses. With a scratch the
-// pipeline runs the locality-aware fast path (copy-on-write bands,
-// dirty-column extraction, footprint verification), so per-trial cost
-// tracks the fault footprint instead of the host size; compare against
-// BenchmarkSurvivalTrialScratchDenseB2 for the same buffers on the
-// legacy whole-host path.
+// per-worker scratch the parallel engine uses. With a scratch each trial
+// is a cold start of the delta engine, a delta from the all-defaults
+// template (copy-on-write bands, dirty-column extraction, footprint
+// verification), so per-trial cost tracks the fault footprint instead of
+// the host size; compare against BenchmarkSurvivalTrialScratchDenseB2
+// for the same buffers on the whole-host dense path.
 func BenchmarkSurvivalTrialScratchB2(b *testing.B) {
 	g := benchGraphB2(b)
 	p := g.P.TheoremFailureProb()
@@ -188,7 +188,7 @@ func e2Ladder(g *core.Graph) []float64 {
 // BenchmarkSurvivalSweepB2 covers the coupled curve engine on the full
 // E2 workload: one op is one trial walking the entire 9-rung ladder
 // under nested coupling, with rung-to-rung reuse of placement,
-// extraction and verification state (core.SweepTrial). Compare against
+// extraction and verification state (core.Session). Compare against
 // BenchmarkSurvivalSweepIndependentB2 — the same 9 rungs evaluated on
 // independent per-rung samples, today's one-cell-per-rate behavior — for
 // the coupling win alone.
@@ -296,7 +296,7 @@ func BenchmarkChurnSessionHeavy(b *testing.B) {
 // BenchmarkChurnSessionFromScratch is the ablation baseline: the exact
 // same steady-state event stream, but every event pays a from-scratch
 // pipeline run (the strongest static baseline — scratch buffers and the
-// PR 2 locality fast path included). The gap to BenchmarkChurnSession is
+// cold start from the template included). The gap to BenchmarkChurnSession is
 // the delta-evaluation win alone.
 func BenchmarkChurnSessionFromScratch(b *testing.B) {
 	g := benchGraphB2(b)
@@ -372,8 +372,8 @@ func edgeChurnSteadyState(b *testing.B, g *core.Graph, scale float64) (*churn.Ge
 // BenchmarkEdgeChurnFromScratchDense (dense re-evaluation of the same
 // charged set, the baseline the golden-equivalence tests pin the step
 // against) for the BENCH_pr8.json acceptance ratio, and against
-// BenchmarkEdgeChurnFromScratch (sparse locality fast path) for the
-// strongest static baseline.
+// BenchmarkEdgeChurnFromScratch (a cold start from the template per
+// event) for the strongest static baseline.
 func BenchmarkEdgeChurnSession(b *testing.B) {
 	g := benchGraphB2(b)
 	gen, _, ses, stream, ch := edgeChurnSteadyState(b, g, 10)
@@ -392,7 +392,7 @@ func BenchmarkEdgeChurnSession(b *testing.B) {
 
 // BenchmarkEdgeChurnFromScratch re-runs the exact same mixed event
 // stream with a sparse from-scratch pipeline per event (scratch reuse
-// and the locality fast path included).
+// and the cold start from the template included).
 func BenchmarkEdgeChurnFromScratch(b *testing.B) {
 	g := benchGraphB2(b)
 	gen, sc, _, stream, ch := edgeChurnSteadyState(b, g, 10)
@@ -624,12 +624,12 @@ func BenchmarkLifetimeBursty3DBatched(b *testing.B) {
 }
 
 // BenchmarkChurnSessionRearmed is BenchmarkChurnSession on the rotated
-// regime: the session's very first evaluation is a cold extraction with
-// an anchor-rotating fault — the dense-path cliff before the re-arm —
-// and the rotating fault stays pinned through the churn. After the
-// re-arm, steady-state steps here must land within ~2x of the unrotated
-// BenchmarkChurnSession (the BENCH_pr9.json acceptance); before it,
-// every step paid the dense whole-host pipeline.
+// regime: the session's very first evaluation is a cold start with an
+// anchor-rotating fault — once a cliff onto the dense path — and the
+// rotating fault stays pinned through the churn. The rotated state is an
+// ordinary committed state, so steady-state steps here must land within
+// ~2x of the unrotated BenchmarkChurnSession (the BENCH_pr9.json
+// acceptance).
 func BenchmarkChurnSessionRearmed(b *testing.B) {
 	g := benchGraphB2(b)
 	rot := g.FindAnchorRotatingFault()

@@ -203,8 +203,9 @@ func runEdges(args []string) error {
 	n := host.HostNodes()
 	edges := make([][2]int, 0, *count)
 	for i := 0; len(edges) < *count; i++ {
-		// Stride anchors across the host; the session re-arms itself after
-		// an anchor-column rotation, so no column needs avoiding.
+		// Stride anchors across the host; the session treats an
+		// anchor-column rotation as an ordinary delta, so no column needs
+		// avoiding.
 		u := (i * 9001) % (n - 1)
 		for v := u + 1; v < n; v++ {
 			if ses.Adjacent(u, v) {

@@ -174,9 +174,10 @@ func (t *RandomFaultTorus) NewFaults() *Faults {
 }
 
 // AnchorRotatingFault returns the smallest host node whose lone fault
-// makes a cold extraction rotate the embedding anchor — the scenario in
-// which an incremental Session must re-arm its locality fast path to
-// keep serving warm column deltas. It returns -1 when no single node
+// makes a cold extraction rotate the embedding anchor, shifting every
+// column outside the fault's footprint away from its default rows — the
+// scenario in which an incremental Session must still serve warm column
+// deltas afterwards. It returns -1 when no single node
 // rotates this host. Intended for regression tests, chaos drivers and
 // benchmarks that need a deterministic rotating fault; the scan runs up
 // to one full extraction per candidate node.

@@ -1,7 +1,8 @@
 // Package hotpath enforces the trial path's O(footprint),
 // allocation-free contract statically. Functions annotated with a
-// "//ftnet:hotpath" doc-comment line (colEval, interpolateFast,
-// extractFast, verifyColumn, the Session delta path, fault.Set's
+// "//ftnet:hotpath" doc-comment line (colEval, footprintColumns,
+// transferFast, verifyColumn, the Session delta path — Eval,
+// interpolateDelta, extractIncremental, verifyIncremental —, fault.Set's
 // record/skip samplers, the wire appenders) run millions of times per
 // experiment; one allocation snuck into them turns a flat profile into
 // a GC treadmill, and alloc benchmarks only catch it on the benchmarked
@@ -16,9 +17,9 @@
 //   - closures capturing enclosing variables (the capture forces a
 //     heap allocation per call)
 //
-// Audited cold branches (a one-time rotation map fill, error paths)
-// escape with "//lint:allow hotpath <why>". TestHotPathAllocs is the
-// runtime cross-check: AllocsPerRun pins the same functions to zero.
+// Audited exceptions (stack-only callbacks, error paths) escape with
+// "//lint:allow hotpath <why>". TestHotPathAllocs is the runtime
+// cross-check: AllocsPerRun pins the same functions to zero.
 package hotpath
 
 import (

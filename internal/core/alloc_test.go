@@ -28,18 +28,21 @@ func TestHotPathAllocs(t *testing.T) {
 		t.Fatal("warmup produced no fault boxes")
 	}
 
-	// interpolateFast drives colEval.setColumn and colEval.evalSlab over
-	// every footprint column, so a zero here pins all three.
-	bs, err := g.interpolateFast(boxes, sc, tpl, nil)
+	// interpolateDelta with no previous boxes (a cold start) drives
+	// colEval.setColumn and colEval.evalSlab over every footprint column,
+	// so a zero here pins all three.
+	p := g.P
+	dst0 := sc.bandsBuf(p.M(), p.W, g.ColShape, p.K())
+	bs, err := g.interpolateDelta(boxes, nil, tpl.bs, sc, tpl, dst0)
 	if err != nil {
-		t.Fatalf("interpolateFast: %v", err)
+		t.Fatalf("interpolateDelta: %v", err)
 	}
 	if a := testing.AllocsPerRun(20, func() {
-		if _, err := g.interpolateFast(boxes, sc, tpl, nil); err != nil {
-			t.Fatalf("interpolateFast: %v", err)
+		if _, err := g.interpolateDelta(boxes, nil, tpl.bs, sc, tpl, dst0); err != nil {
+			t.Fatalf("interpolateDelta: %v", err)
 		}
 	}); a > 0 {
-		t.Errorf("interpolateFast: %v allocs/op, want 0", a)
+		t.Errorf("interpolateDelta: %v allocs/op, want 0", a)
 	}
 
 	n := g.P.N()

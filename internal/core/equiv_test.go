@@ -11,8 +11,9 @@ import (
 	"ftnet/internal/stats"
 )
 
-// Golden equivalence suite: the locality-aware fast path (copy-on-write
-// bands, dirty-column extraction, footprint verification) must produce
+// Golden equivalence suite: a one-shot ContainTorus with a Scratch — the
+// delta engine's cold start from the template (copy-on-write bands,
+// dirty-column extraction, footprint verification) — must produce
 // bit-identical bands, embeddings, reports and survival outcomes to the
 // legacy dense pipeline, across random seeds and the crafted patterns
 // that exercise its corner cases (multi-box, box extension, wrap,
@@ -87,9 +88,9 @@ func TestEquivalenceCrafted2D(t *testing.T) {
 		// below the box bottom, triggering the box-extension pass.
 		{"box-extension", []int{g.NodeIndex(2*tile, 200)}},
 		{"wrap", []int{g.NodeIndex(m-1, n-1), g.NodeIndex(0, 150)}},
-		// Faults whose footprint touches column 0: the fast extraction
-		// walks the anchor component from column 0 first (see
-		// extractFast); results must still be identical.
+		// Faults whose footprint touches column 0: the delta engine
+		// re-derives the anchor column itself (see extractIncremental);
+		// results must still be identical.
 		{"column-0", []int{g.NodeIndex(300, 0)}},
 		{"column-wrap", []int{g.NodeIndex(300, n-1)}},
 		// A tight cluster in one tile plus its diagonal neighbor: one
@@ -108,12 +109,12 @@ func TestEquivalenceCrafted2D(t *testing.T) {
 	}
 }
 
-// TestEquivalenceAnchorRotation forces the rare extractFast branch where
-// the bands at column 0 genuinely move: the dense anchor then rotates
-// every clean column's row vector relative to the template, the fast
-// path degrades to one O(N) map fill, and the scratch drops its default
-// state. Results must still be bit-identical, and the next (clean) trial
-// must recover.
+// TestEquivalenceAnchorRotation forces the rare case where the bands at
+// column 0 genuinely move: the dense anchor then rotates every clean
+// column's row vector relative to the template (Session.rotated), and
+// the cold start's island probe re-derives the whole clean region.
+// Results must still be bit-identical, and the next (clean) trial must
+// restore the template state.
 func TestEquivalenceAnchorRotation(t *testing.T) {
 	g := mustGraph(t, testParams2D())
 	sc := NewScratch(1)
@@ -122,8 +123,8 @@ func TestEquivalenceAnchorRotation(t *testing.T) {
 		faults := fault.NewSet(g.NumNodes())
 		faults.Add(g.NodeIndex(row, 0))
 		runBoth(t, g, faults, sc, fmt.Sprintf("anchor row=%d", row))
-		if !sc.fastInit {
-			rotations++ // the rotated branch dropped the default state
+		if sc.ses.rotated() {
+			rotations++
 		}
 		runBoth(t, g, fault.NewSet(g.NumNodes()), sc, fmt.Sprintf("anchor row=%d +restore", row))
 	}

@@ -12,15 +12,16 @@ import (
 type ExtractOptions struct {
 	// CheckConsistency re-derives the row mapping across every non-tree
 	// column adjacency and demands agreement: the executable analogue of
-	// Lemma 7 (path independence of P_{i,pi}). Costs one extra pass over
-	// all columns; enabled in tests, off in benchmarks.
+	// Lemma 7 (path independence of P_{i,pi}). It audits the dense
+	// extraction, so it selects the dense pipeline. Costs one extra pass
+	// over all columns; enabled in tests, off in benchmarks.
 	CheckConsistency bool
-	// Dense forces the legacy whole-host pipeline: dense interpolation,
-	// full-BFS extraction and whole-graph verification, each O(N) per
-	// trial. The default (false) uses the locality-aware copy-on-write
-	// fast path whenever a Scratch is supplied and the fault footprint
-	// allows it (see locality.go); the golden equivalence tests assert
-	// the two modes produce bit-identical results.
+	// Dense forces the whole-host pipeline: dense interpolation, full-BFS
+	// extraction and whole-graph verification, each O(N) per trial. It is
+	// the oracle the golden equivalence tests pin the delta engine
+	// against, and the -dense ablation. The default (false) with a
+	// Scratch runs the delta engine (Session), where a one-shot trial is a
+	// cold start: a delta from the all-defaults template.
 	Dense bool
 	// Scratch, if non-nil, supplies reusable buffers for placement,
 	// extraction and verification, and bounds the pipeline's inner
@@ -28,6 +29,10 @@ type ExtractOptions struct {
 	// scratch and is only valid until its next use.
 	Scratch *Scratch
 }
+
+// dense reports whether these options select the dense pipeline rather
+// than the delta engine, which needs a Scratch to keep its state in.
+func (o ExtractOptions) dense() bool { return o.Dense || o.CheckConsistency || o.Scratch == nil }
 
 // Extract realizes Lemma 6: given a valid family of (m-n)/b untouching
 // bands, it constructs the isomorphism psi from (C_n)^d onto the unmasked
@@ -40,20 +45,14 @@ type ExtractOptions struct {
 // node (psi_z(i), z). Callers should verify it with embed.Verify against
 // the faulty host.
 //
-// With a tracked band family (PlaceBandsScratch) and a Scratch, the
-// extraction consumes the family's dirty-column set and runs in
-// O(fault footprint) — see extractFast in locality.go; the BFS below is
-// the legacy dense path, kept behind ExtractOptions.Dense and as the
-// fallback when the fast path does not apply.
+// Extract is the dense oracle: one BFS over every column, O(N). The
+// footprint-sized extraction is the delta engine's (Session.Eval).
 func (g *Graph) Extract(bs *bands.Set, opts ExtractOptions) (*embed.Embedding, error) {
 	p := g.P
 	n := p.N()
 	numCols := g.NumCols
 	if bs.K() != p.K() {
 		return nil, fterr.New(fterr.Internal, "core", "band family has %d bands, want %d", bs.K(), p.K())
-	}
-	if tpl := g.fastPath(bs, opts); tpl != nil {
-		return g.extractFast(bs, tpl, opts)
 	}
 
 	// Unmasked rows per column, in cyclic order anchored above band 0.
@@ -222,14 +221,25 @@ type Result struct {
 // place bands, extract the torus, and verify the embedding independently.
 // An *UnhealthyError means the fault pattern exceeded what the
 // construction tolerates (a survival failure); any other error is a bug.
-// With opts.Scratch set, the heavy buffers of all three stages are
-// reused, the Result aliases the scratch (see Scratch), and the whole
-// trial runs the locality-aware fast path — cost proportional to the
-// fault footprint, not the host size — unless opts.Dense forces the
-// legacy whole-host pipeline or the footprint disqualifies itself (see
-// fastPath in locality.go).
+// With opts.Scratch set (and neither Dense nor CheckConsistency), the
+// trial is Reset + Eval on the scratch's own Session: a cold start, a
+// delta from the all-defaults template whose cost is proportional to the
+// fault footprint, not the host size. The Result then aliases the
+// scratch (see Scratch). Otherwise it runs the dense pipeline.
 func (g *Graph) ContainTorus(faults *fault.Set, opts ExtractOptions) (*Result, error) {
-	bs, rep, err := g.placeBands(faults, opts)
+	if opts.dense() {
+		return g.containDense(faults, opts)
+	}
+	ses := opts.Scratch.session(g)
+	ses.Reset()
+	return ses.Eval(faults)
+}
+
+// containDense is the dense pipeline: whole-host interpolation, full-BFS
+// extraction and whole-graph verification, reusing opts.Scratch's
+// buffers when it is set.
+func (g *Graph) containDense(faults *fault.Set, opts ExtractOptions) (*Result, error) {
+	bs, rep, err := g.placeBands(faults, opts.Scratch, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -237,15 +247,9 @@ func (g *Graph) ContainTorus(faults *fault.Set, opts ExtractOptions) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	if tpl := g.fastPath(bs, opts); tpl != nil {
-		if err := g.verifyFast(emb, bs, faults, tpl, opts.Scratch); err != nil {
-			return nil, err
-		}
-	} else {
-		host := NewHostView(g, faults, nil)
-		if err := emb.VerifyBuf(host, opts.Scratch.seenBuf(g.NumNodes())); err != nil {
-			return nil, err
-		}
+	host := NewHostView(g, faults, nil)
+	if err := emb.VerifyBuf(host, opts.Scratch.seenBuf(g.NumNodes())); err != nil {
+		return nil, err
 	}
 	return &Result{Bands: bs, Embedding: emb, Report: rep}, nil
 }

@@ -1,33 +1,31 @@
-// Locality-aware fast path for the Theorem 2 pipeline.
+// Locality layer of the Theorem 2 pipeline.
 //
 // The paper's construction is local by design: bands deviate from their
 // default positions only near the black boxes that isolate faults
 // (Lemma 5), and the row mapping of Lemma 6 is path-independent
 // (Lemma 7), so everything outside a box footprint is provably at its
-// default. This file exploits that: each Graph lazily builds, once, a
-// *template* — the all-defaults band family, its unmasked-row vector,
-// and a pre-verified default embedding — and per-trial work is then
-// proportional to the fault footprint, not the host size:
+// default. Each Graph therefore lazily builds, once, a *template* — the
+// all-defaults band family, its unmasked-row vector, and a pre-verified
+// default embedding — and that template is a valid committed state for
+// the delta-evaluation engine (session.go): a cold evaluation is a delta
+// from the template with no previous boxes, so per-trial work is
+// proportional to the fault footprint, not the host size.
 //
-//   - interpolateFast seeds a copy-on-write bands.Set from the template
-//     and recomputes only the columns whose tile cell has a corner
-//     pinned by a fault box (the box footprint ±1 tile), at the slabs
-//     the box spans; the Set's dirty-column bitset records exactly the
-//     columns that may differ from default.
-//   - extractFast runs the Lemma 6 BFS transfer only over the dirty
-//     region, seeded from its clean frontier: Lemma 7 guarantees every
-//     clean column carries the default row vector, so frontier columns
-//     are valid BFS sources and the result is bit-identical to the
-//     dense whole-torus BFS (the golden equivalence test pins this).
-//   - verifyFast checks injectivity, fault avoidance and edge realization
-//     only on columns whose row map actually deviates from the default
-//     (plus their cross-column edges and all faulty nodes), relying on
-//     the once-verified default embedding for the untouched remainder.
+// This file holds the template and the footprint-sized leaves the engine
+// is built from:
 //
-// The legacy dense path remains available behind ExtractOptions.Dense
-// and is used automatically whenever the fast path does not apply (no
-// Scratch, ablated edge classes, column 0 inside a footprint, or a
-// footprint covering every column).
+//   - footprintColumns enumerates the columns a fault box can influence
+//     (its footprint ±1 tile); the placement stage interpolates or
+//     copies exactly those.
+//   - transferFast grows the Lemma 6 row mapping across one column
+//     adjacency, touching only the bands that moved.
+//   - verifyColumn and verifyFaultPass re-check, from the embedding
+//     itself, the columns whose row vectors deviate from the default,
+//     relying on the once-verified default embedding for the untouched
+//     remainder.
+//
+// The dense whole-host pipeline (ExtractOptions.Dense) is the oracle the
+// golden equivalence tests pin this layer against, bit for bit.
 package core
 
 import (
@@ -122,8 +120,8 @@ func (g *Graph) buildTemplate() *template {
 	}
 
 	// Verify the default embedding once, from first principles, against
-	// the fault-free host. Every fast-path trial reuses this certificate
-	// for the columns its faults do not touch.
+	// the fault-free host. Every evaluation reuses this certificate for
+	// the columns its faults do not touch.
 	guest, err := torus.NewUniform(torus.TorusKind, p.D, n)
 	if err != nil {
 		tpl.err = err
@@ -143,75 +141,12 @@ func (g *Graph) buildTemplate() *template {
 	return tpl
 }
 
-// fastPath decides whether the locality-aware pipeline applies to this
-// (band family, options) pair and returns the template if so. Extract,
-// ContainTorus and the verifier all key off the same predicate, so the
-// three stages can never disagree on the mode. The fast path needs a
-// Scratch (its buffers persist default state across trials), a tracked
-// family, and a healthy template. A dirty column 0 is handled inside
-// extractFast (the anchor component is walked first), and a fully dirty
-// torus degenerates to one anchored BFS over every column — both stay on
-// the fast path, so only an explicit Dense request, a missing scratch or
-// a failed template build fall back to the dense pipeline.
-func (g *Graph) fastPath(bs *bands.Set, opts ExtractOptions) *template {
-	if opts.Dense || opts.Scratch == nil || !bs.Tracking() {
-		return nil
-	}
-	tpl, err := g.template()
-	if err != nil {
-		return nil
-	}
-	return tpl
-}
-
-// interpolateFast is the O(fault-footprint) version of interpolate: it
-// memcpy-restores the template into the scratch's copy-on-write band set
-// (or the caller-supplied dst, if non-nil) and recomputes only the
-// columns inside pinned box footprints ±1 tile, at the slabs each box
-// spans. Every other (slab, column) value is the default by Lemmas 9-11
-// (no pinned corner in range), so the result is bit-identical to the
-// dense evaluation.
-//
-//ftnet:hotpath
-func (g *Graph) interpolateFast(boxes []*faultBox, sc *Scratch, tpl *template, dst *bands.Set) (*bands.Set, error) {
-	p := g.P
-	d1 := p.D - 1
-	numSlabs := p.NumSlabs()
-	cornerShape := g.cornerShape
-
-	bs := dst
-	if bs == nil {
-		bs = sc.bandsBuf(p.M(), p.W, g.ColShape, p.K())
-	}
-	if err := bs.SeedFrom(tpl.bs); err != nil {
-		return nil, err
-	}
-	pinned, err := g.buildPinned(boxes, sc, cornerShape)
-	if err != nil {
-		return nil, err
-	}
-	ev := sc.colEvalBuf(g, tpl.defaults, pinned, cornerShape)
-
-	starts, counts, coord := sc.footprintBufs(d1)
-	for _, b := range boxes {
-		g.footprintColumns(b, starts, counts, coord,
-			//lint:allow hotpath the eval callback is consumed inside footprintColumns and never escapes, so it stays on the stack
-			func(z int) {
-				ev.setColumn(z)
-				for rs := 0; rs < b.ext[0]; rs++ {
-					ev.evalSlab(bs, grid.Add(b.lo[0], rs, numSlabs), z)
-				}
-			})
-	}
-	return bs, nil
-}
-
 // footprintColumns enumerates the columns of b's footprint ±1 tile —
 // exactly the columns whose band values the box can influence — calling
 // fn for each. starts/counts/coord are caller-owned (d-1)-sized work
-// buffers (Scratch.footprintBufs). Both the fast interpolation and the
-// delta-evaluation engine's box-copy pass drive this one enumerator, so
-// the two agree on the footprint to the column.
+// buffers (Scratch.footprintBufs). interpolateDelta drives it for both
+// the boxes it re-interpolates and the boxes it copies, so the two agree
+// on the footprint to the column.
 //
 //ftnet:hotpath
 func (g *Graph) footprintColumns(b *faultBox, starts, counts, coord []int, fn func(z int)) {
@@ -257,9 +192,7 @@ type movedBand struct {
 // whole-vector scan. It also records, in dev, whether the resulting
 // vector deviates from base (the vector shared by every clean column) —
 // the verifier later skips columns that do not. The dev shortcut in the
-// moved case relies on dev[zFrom] being accurate relative to base;
-// extractFast's anchor walk, whose flags are settled only afterwards,
-// re-derives its flags before they are ever used as sources elsewhere.
+// moved case relies on dev[zFrom] being accurate relative to base.
 //
 //ftnet:hotpath
 func (g *Graph) transferFast(bs *bands.Set, base []int32, sc *Scratch, zFrom, zTo int, src, dst []int32, dev []bool) error {
@@ -328,341 +261,27 @@ func int32Equal(a, b []int32) bool {
 	return true
 }
 
-// extractFast realizes Lemma 6 in O(fault footprint): clean columns keep
-// (alias) one shared row vector, and the BFS transfer runs only over the
-// dirty region, seeded from its clean frontier. Lemma 7 (path
-// independence) makes the seeds interchangeable with the dense BFS's
-// walk from column 0, so the embedding is bit-identical.
-//
-// The dense BFS anchors guest row 0 at column 0's band positions. When
-// column 0 is dirty, extractFast therefore walks column 0's dirty
-// component first, starting from bs.UnmaskedRows(0) exactly like the
-// dense path, and learns the clean-region vector when that walk first
-// exits to a clean column. Consistency (Lemma 7 on torus cycles) makes
-// that vector the same for every clean column. Almost always it equals
-// the template's default rows (the anchor bands did not actually move)
-// and the trial stays O(footprint); when it is genuinely rotated, the
-// trial degrades gracefully to one O(N) map fill — still far cheaper
-// than the dense pipeline — and invalidates the scratch's default state.
-//
-//ftnet:hotpath
-func (g *Graph) extractFast(bs *bands.Set, tpl *template, opts ExtractOptions) (*embed.Embedding, error) {
-	sc := opts.Scratch
-	p := g.P
-	n := p.N()
-	numCols := g.NumCols
-
-	rowmap, rowflat, dev, e, err := sc.ensureFast(g, tpl)
-	if err != nil {
-		return nil, err
-	}
-	sc.rotated = false
-	dirty := bs.DirtyColumns()
-	for _, z32 := range dirty {
-		rowmap[z32] = nil
-		dev[z32] = false
-	}
-
-	queue := sc.queueBuf(numCols)
-	nbuf := sc.nbufBuf()
-	ncoord := sc.ncoordBuf(p.D - 1)
-	base := tpl.defaultRows
-	rotated := false
-	if bs.IsDirty(0) {
-		// Anchor component first: reproduce the dense anchor at column 0,
-		// BFS its dirty component, and capture the clean-region vector on
-		// first contact with a clean column.
-		anchor := bs.UnmaskedRows(0, rowflat[:0:n])
-		if len(anchor) != n {
-			return nil, fterr.New(fterr.Internal, "core", "column 0 has %d unmasked rows, want %d", len(anchor), n)
-		}
-		rowmap[0] = anchor
-		queue = append(queue, 0)
-		var clean []int32
-		scribbled := -1
-		for head := 0; head < len(queue); head++ {
-			z := queue[head]
-			nbuf = g.columnNeighbors(z, nbuf[:0], ncoord)
-			for _, zn := range nbuf {
-				if !bs.IsDirty(zn) {
-					if clean == nil {
-						cleanDst := sc.cleanVecBuf(n)
-						if err := g.transferFast(bs, base, sc, z, zn, rowmap[z], cleanDst, dev); err != nil {
-							return nil, err
-						}
-						clean = cleanDst
-						scribbled = zn // dev[zn] belongs to a clean column
-					}
-					continue
-				}
-				if rowmap[zn] != nil {
-					continue
-				}
-				dst := rowflat[zn*n : (zn+1)*n]
-				if err := g.transferFast(bs, base, sc, z, zn, rowmap[z], dst, dev); err != nil {
-					return nil, err
-				}
-				rowmap[zn] = dst
-				queue = append(queue, zn)
-			}
-		}
-		if clean == nil {
-			// Only legitimate when the whole column torus is dirty: the
-			// anchored BFS then covered every column, there is no clean
-			// region to reconcile with, and base stays the default vector —
-			// exactly the dense anchor semantics. Deviation flags against
-			// the default base make the verifier re-check every column that
-			// actually moved.
-			if len(queue) != numCols {
-				return nil, fterr.New(fterr.Internal, "core", "anchor component has no clean frontier")
-			}
-		} else {
-			dev[scribbled] = false // clean columns never deviate from base
-			if !int32Equal(clean, tpl.defaultRows) {
-				// The anchor genuinely rotated: every clean column carries the
-				// rotated vector this trial. The certificate argument of
-				// verifyFast needs clean to be a cyclic rotation of the
-				// default vector (then the host edge pairs of clean columns
-				// are exactly the verified default ones); extraction preserves
-				// cyclic order, so anything else is an internal error.
-				if !isRotation(clean, tpl.defaultRows) {
-					return nil, fterr.New(fterr.Internal, "core", "clean-region vector is not a rotation of the default rows")
-				}
-				base = clean
-				rotated = true
-				for z := 0; z < numCols; z++ {
-					if !bs.IsDirty(z) {
-						rowmap[z] = clean
-					}
-				}
-			}
-		}
-		// Settle the anchor component's deviation flags against the final
-		// base vector (they were computed before it was known).
-		for _, z := range queue {
-			dev[z] = !int32Equal(rowmap[z], base)
-		}
-	}
-	// Seed every remaining dirty column that touches an assigned column
-	// (clean, or dirty and already transferred).
-	for _, z32 := range dirty {
-		z := int(z32)
-		if rowmap[z] != nil {
-			continue
-		}
-		nbuf = g.columnNeighbors(z, nbuf[:0], ncoord)
-		for _, zn := range nbuf {
-			if rowmap[zn] == nil {
-				continue
-			}
-			dst := rowflat[z*n : (z+1)*n]
-			if err := g.transferFast(bs, base, sc, zn, z, rowmap[zn], dst, dev); err != nil {
-				return nil, err
-			}
-			rowmap[z] = dst
-			queue = append(queue, z)
-			break
-		}
-	}
-	// BFS the interior of the dirty region.
-	for head := 0; head < len(queue); head++ {
-		z := queue[head]
-		nbuf = g.columnNeighbors(z, nbuf[:0], ncoord)
-		for _, zn := range nbuf {
-			if rowmap[zn] != nil || !bs.IsDirty(zn) {
-				continue
-			}
-			dst := rowflat[zn*n : (zn+1)*n]
-			if err := g.transferFast(bs, base, sc, z, zn, rowmap[z], dst, dev); err != nil {
-				return nil, err
-			}
-			rowmap[zn] = dst
-			queue = append(queue, zn)
-		}
-	}
-	sc.nbuf = nbuf
-	if len(queue) != len(dirty) {
-		// Unreachable while DirtyCount < NumCols: any strict subregion of
-		// the column torus has a clean frontier. Kept as a guard.
-		return nil, fterr.New(fterr.Internal, "core", "dirty-column BFS reached %d of %d columns", len(queue), len(dirty))
-	}
-
-	if opts.CheckConsistency {
-		dst := sc.dstBuf(n)
-		//lint:allow hotpath CheckConsistency is a test-only audit branch, never taken on the trial path
-		coord := make([]int, p.D-1)
-		for z := 0; z < numCols; z++ {
-			g.ColShape.Coord(z, coord)
-			for dim := range g.ColShape {
-				orig := coord[dim]
-				coord[dim] = grid.Add(orig, 1, g.ColShape[dim])
-				zn := g.ColShape.Index(coord)
-				coord[dim] = orig
-				if err := g.transferRows(bs, z, zn, rowmap[z], dst); err != nil {
-					return nil, err
-				}
-				for i := range dst {
-					if dst[i] != rowmap[zn][i] {
-						return nil, fterr.New(fterr.Internal, "core", "Lemma 7 violation: row %d disagrees across columns %d -> %d (%d vs %d)",
-							i, z, zn, dst[i], rowmap[zn][i])
-					}
-				}
-			}
-		}
-	}
-
-	if rotated {
-		// Every column's map changed relative to the default template:
-		// write them all and drop the scratch's default state. sc.rotated
-		// lets the caller re-arm the fast path from this state once the
-		// extraction is verified (rearmRotated); standalone trials instead
-		// re-seed the defaults on the next ensureFast.
-		for z := 0; z < numCols; z++ {
-			rows := rowmap[z]
-			for i := 0; i < n; i++ {
-				e.Map[i*numCols+z] = int(rows[i])*numCols + z
-			}
-		}
-		sc.fastInit = false
-		sc.rotated = true
-		return e, nil
-	}
-	// Fill the embedding for deviating columns only; every other column
-	// already holds the default map from ensureFast's restore.
-	for _, z32 := range dirty {
-		z := int(z32)
-		if !dev[z] {
-			continue
-		}
-		rows := rowmap[z]
-		for i := 0; i < n; i++ {
-			e.Map[i*numCols+z] = int(rows[i])*numCols + z
-		}
-	}
-	sc.notePrevDirty(dirty)
-	return e, nil
-}
-
 // FindAnchorRotatingFault searches for the smallest node index whose
-// lone fault makes a cold fast-path extraction genuinely rotate the
-// anchor (the dense-cliff scenario: before the re-arm, such a fault
-// parked sessions on the dense path forever). Used by regression tests
-// and benchmarks that need a deterministic rotating fault; returns -1
-// when no single node rotates this host.
+// lone fault genuinely rotates the anchor at a cold evaluation: Lemma 6
+// anchors guest row 0 just above band 0 of column 0, so when that
+// fault's box moves column 0's bands, every clean column's row vector
+// shifts away from the template's (see Session.rotated). Used by
+// regression tests and benchmarks that need a deterministic rotating
+// fault; returns -1 when no single node rotates this host.
 func (g *Graph) FindAnchorRotatingFault() int {
-	sc := NewScratch(1)
+	ses := g.NewSession(NewScratch(1), ExtractOptions{})
+	faults := fault.NewSet(g.NumNodes())
 	for u := 0; u < g.NumNodes(); u++ {
-		faults := sc.Faults(g.NumNodes())
 		faults.Add(u)
-		if _, err := g.ContainTorus(faults, ExtractOptions{Scratch: sc}); err != nil {
-			continue // unhealthy single-fault state: not the scenario
-		}
-		if sc.rotated {
+		ses.Reset()
+		_, err := ses.Eval(faults)
+		faults.Remove(u)
+		// An unhealthy single-fault state is not the scenario.
+		if err == nil && ses.rotated() {
 			return u
 		}
 	}
 	return -1
-}
-
-// isRotation reports whether a is a cyclic rotation of b (both length n).
-func isRotation(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	n := len(a)
-	if n == 0 {
-		return true
-	}
-	off := -1
-	for i, v := range b {
-		if v == a[0] {
-			off = i
-			break
-		}
-	}
-	if off < 0 {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[(off+i)%n] {
-			return false
-		}
-	}
-	return true
-}
-
-// rearmRotated re-seeds the scratch's fast-path state from a verified
-// rotated extraction instead of abandoning it. extractFast left every
-// column's row vector and embedding entry describing the rotated state;
-// what is missing for the fast-path invariant is stable backing (clean
-// columns alias the shared clean-vector buffer, which later extractions
-// reuse as a probe scratchpad), deviation flags relative to the
-// template's default rows (extraction computed them against the rotated
-// base), and a restore list covering everything a future cold trial must
-// undo. All three are fixed here in one O(N) pass — no more than the
-// rotated extraction itself already paid — after which the state
-// satisfies the documented invariant with prevDirty = every column, so a
-// Session can go warm on the very next commit and incremental Evals diff
-// against the rotated state like any other. Without this, one fault
-// charged near the anchor column at a cold eval parked the session on
-// the dense path (and the daemon's delta ring on 410 resyncs) for the
-// rest of its life.
-func (g *Graph) rearmRotated(tpl *template, sc *Scratch) {
-	n := g.P.N()
-	numCols := g.NumCols
-	rowflat := sc.rowflat[:numCols*n]
-	for z := 0; z < numCols; z++ {
-		dst := rowflat[z*n : (z+1)*n]
-		src := sc.rowmap[z]
-		if &src[0] != &dst[0] {
-			copy(dst, src)
-			sc.rowmap[z] = dst
-		}
-		sc.devCols[z] = !int32Equal(dst, tpl.defaultRows)
-	}
-	sc.prevDirty = sc.prevDirty[:0]
-	for z := 0; z < numCols; z++ {
-		sc.prevDirty = append(sc.prevDirty, int32(z))
-	}
-	sc.fastInit = true
-	sc.rotated = false
-}
-
-// verifyFast is the locality-aware counterpart of embed.Verify: it
-// re-checks, from the embedding itself, injectivity, fault avoidance and
-// edge realization for every column whose row vector deviates from the
-// clean-region base (plus all cross-column edges incident to them), and
-// checks every faulty node against the image. Non-deviating columns are
-// covered by the template's one-time full verification: their per-column
-// image is exactly the default unmasked-row set (the base vector is the
-// default vector or a cyclic rotation of it — extractFast enforces that),
-// so their host nodes and the host edge pairs between them are precisely
-// the ones the certificate already checked. The verifier trusts the
-// dirty-set invariant of the placement stage; the golden equivalence test
-// cross-checks that trust against the dense verifier.
-//
-//ftnet:hotpath
-func (g *Graph) verifyFast(e *embed.Embedding, bs *bands.Set, faults *fault.Set, tpl *template, sc *Scratch) error {
-	dev := sc.devCols
-	faultCol, gen, err := g.verifyFaultPass(faults, tpl, sc, dev)
-	if err != nil {
-		return err
-	}
-	for _, z32 := range bs.DirtyColumns() {
-		z := int(z32)
-		if !dev[z] {
-			continue
-		}
-		// Edges between two deviating columns are checked once, from the
-		// smaller column index; edges into non-deviating columns are
-		// checked from this side.
-		if err := g.verifyColumn(e, faults, sc, z, faultCol[z] == gen,
-			//lint:allow hotpath the skipPair predicate is consumed inside verifyColumn and never escapes; it stays on the stack
-			func(zn int) bool { return dev[zn] && zn < z }); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // verifyColumn re-checks one column of the embedding: host-row range,
@@ -771,7 +390,7 @@ func (g *Graph) verifyColumn(e *embed.Embedding, faults *fault.Set, sc *Scratch,
 	return nil
 }
 
-// verifyFaultPass makes the verifiers' single pass over the fault set:
+// verifyFaultPass makes verifyIncremental's single pass over the fault set:
 // every fault in a non-deviating column must be masked under the default
 // family (such a column's image is exactly the default rows), and every
 // deviating column holding a fault is marked in the returned

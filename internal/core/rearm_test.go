@@ -9,13 +9,12 @@ import (
 	"ftnet/internal/rng"
 )
 
-// Regression suite for the fast-path re-arm: a fault that genuinely
-// rotates the anchor at a cold evaluation used to drop Scratch.fastInit
-// forever, parking the session on the dense path (and the daemon's delta
-// ring on 410 resyncs) for the rest of its life. After rearmRotated the
-// session must return to warm incremental evaluation on the very next
-// commit, stay bit-identical to the dense pipeline throughout, and
-// resume emitting real column deltas.
+// Regression suite for anchor rotation: a fault that genuinely rotates
+// the anchor at a cold evaluation once parked the session on the dense
+// path (and the daemon's delta ring on 410 resyncs) for the rest of its
+// life. The rotated state must be an ordinary committed state: the very
+// next commit is a warm incremental one, every state stays bit-identical
+// to the dense pipeline, and real column deltas resume.
 
 // TestSessionRearmAfterRotation drives the exact cliff scenario: rotating
 // fault at cold eval, then churn on the warm rotated state, then healing
@@ -34,14 +33,8 @@ func TestSessionRearmAfterRotation(t *testing.T) {
 	faults.Add(rot)
 	ses.NoteAdded([]int{rot})
 	evalSessionBoth(t, g, ses, faults, "rotated cold eval")
-	if sc.rotated {
-		t.Fatal("scratch still flagged rotated after the re-arm")
-	}
-	if !sc.fastInit {
-		t.Fatal("re-arm did not restore fastInit after the rotated extraction")
-	}
-	if !ses.warm {
-		t.Fatal("session not warm after the rotated cold eval: the dense cliff is back")
+	if !ses.rotated() {
+		t.Fatal("FindAnchorRotatingFault's fault did not rotate the anchor")
 	}
 	if _, full := ses.DrainDelta(); !full {
 		t.Fatal("rotated cold eval must report a full delta (resync boundary)")
@@ -53,8 +46,8 @@ func TestSessionRearmAfterRotation(t *testing.T) {
 	faults.Add(far)
 	ses.NoteAdded([]int{far})
 	evalSessionBoth(t, g, ses, faults, "warm step on rotated state")
-	if !ses.warm {
-		t.Fatal("session fell off the warm path on the first post-rotation step")
+	if !ses.rotated() {
+		t.Fatal("far fault undid the anchor rotation")
 	}
 	cols, full := ses.DrainDelta()
 	if full {
@@ -85,7 +78,7 @@ func TestSessionRearmAfterRotation(t *testing.T) {
 	faults.RemoveAll(killer)
 	ses.NoteCleared(killer)
 	evalSessionBoth(t, g, ses, faults, "healed after unhealthy on rotated state")
-	if !ses.warm {
+	if _, full := ses.DrainDelta(); full {
 		t.Fatal("session went cold across the unhealthy episode on the rotated state")
 	}
 
@@ -94,7 +87,10 @@ func TestSessionRearmAfterRotation(t *testing.T) {
 	faults.Remove(rot)
 	ses.NoteCleared([]int{rot})
 	evalSessionBoth(t, g, ses, faults, "rotation healed")
-	if !ses.warm {
+	if ses.rotated() {
+		t.Fatal("healing the rotating fault left the anchor rotated")
+	}
+	if _, full := ses.DrainDelta(); full {
 		t.Fatal("session went cold healing the rotating fault")
 	}
 	faults.Remove(far)
@@ -125,8 +121,8 @@ func TestSessionRotationWhileWarm(t *testing.T) {
 	faults.Add(rot)
 	ses.NoteAdded([]int{rot})
 	evalSessionBoth(t, g, ses, faults, "rotation while warm")
-	if !ses.warm {
-		t.Fatal("session went cold rotating while warm")
+	if !ses.rotated() {
+		t.Fatal("rotating fault did not rotate the anchor on the warm session")
 	}
 	if _, full := ses.DrainDelta(); full {
 		t.Fatal("warm rotation reported a Full delta; expected a (large) column delta")

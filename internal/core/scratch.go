@@ -16,11 +16,14 @@ import (
 // creates one Scratch per worker (Options.NewScratch) and hands it to
 // every trial.
 //
-// Beyond buffer reuse, a Scratch is what makes the locality-aware fast
-// path (see locality.go) O(fault footprint): it keeps the row-map headers
-// and the embedding seeded with the graph's default template between
-// trials, and each trial restores only the columns the previous trial
-// dirtied before writing its own.
+// Beyond buffer reuse, a Scratch is what makes the delta-evaluation
+// engine (Session, session.go) O(fault footprint): it keeps the row-map
+// headers and the embedding seeded with the graph's default template
+// between trials, and a cold start restores only the columns earlier
+// Evals re-derived before writing its own. That state belongs to one
+// Session at a time (owner); every other user of the scratch — another
+// Session, a one-shot ContainTorus, a dense-pipeline call — takes it
+// over, and the displaced Session starts cold on its next Eval.
 //
 // Ownership: a Result produced with a Scratch aliases its buffers —
 // including Result.Bands and Result.Embedding — and is valid only until
@@ -36,8 +39,8 @@ type Scratch struct {
 	// interpolation. Trials dispatched by the parallel engine should set
 	// it to 1: the pool already saturates the CPUs, and per-trial
 	// goroutine fan-out would only add oversubscription. 0 means
-	// GOMAXPROCS (the default serial-caller behavior). The locality fast
-	// path is always serial (its work is footprint-sized).
+	// GOMAXPROCS (the default serial-caller behavior). The delta engine
+	// is always serial (its work is footprint-sized).
 	Workers int
 
 	faults  *fault.Set
@@ -61,7 +64,10 @@ type Scratch struct {
 	fpStarts    []int
 	fpCounts    []int
 	fpCoord     []int
-	cornerCoord []int // buildPinned corner odometer
+	cornerCoord []int  // buildPinned corner odometer
+	boxCopyable []bool // interpolateDelta box classification
+	boxMatched  []bool
+	boxIsMatch  []bool
 
 	// Extraction buffers.
 	nbuf     []int
@@ -69,14 +75,16 @@ type Scratch struct {
 	consDst  []int32
 	movedBuf []movedBand
 
-	// Locality fast-path state. Valid only while fastGraph matches the
-	// current graph and no dense extraction has clobbered the buffers:
-	// rowmap points every column at the template's default rows except
-	// the prevDirty ones, emb holds the default map except the previously
-	// deviating columns, and devCols is all-false outside prevDirty.
+	// Delta-engine state. Valid only while fastInit holds (fastGraph is
+	// the current graph and no dense extraction has clobbered the
+	// buffers): rowmap points every column at the template's default rows
+	// except the prevDirty ones, emb holds the default map except the
+	// deviating columns, and devCols is all-false outside prevDirty. The
+	// non-template columns describe owner's last committed state.
 	fastGraph *Graph
 	fastInit  bool
-	rotated   bool // last extractFast left a rotated (whole-host) state
+	owner     *Session
+	ses       *Session // the session one-shot ContainTorus calls evaluate through
 	prevDirty []int32
 	devCols   []bool
 	cleanVec  []int32
@@ -106,13 +114,13 @@ func (sc *Scratch) Faults(n int) *fault.Set {
 
 // rowBuffers returns numCols nil'd row-map headers plus their flat
 // backing array of numCols*n int32s. Used by the dense extraction, which
-// overwrites every header — so any fast-path state is invalidated.
+// overwrites every header — so the delta-engine state is invalidated.
 func (sc *Scratch) rowBuffers(numCols, n int) ([][]int32, []int32) {
 	if sc == nil {
 		return make([][]int32, numCols), make([]int32, numCols*n)
 	}
 	sc.fastInit = false
-	sc.rotated = false
+	sc.owner = nil
 	if cap(sc.rowmap) < numCols {
 		sc.rowmap = make([][]int32, numCols)
 	}
@@ -193,9 +201,10 @@ func (sc *Scratch) embedding(guest *torus.Graph) *embed.Embedding {
 	return sc.emb
 }
 
-// bandsBuf returns the reusable copy-on-write band family, reallocating
-// when the geometry changed. SeedFrom pays the full template copy on a
-// fresh set and an O(previous footprint) restore afterwards.
+// bandsBuf returns the reusable copy-on-write band family of
+// PlaceBandsScratch, reallocating when the geometry changed. SeedFrom
+// pays the full template copy on a fresh set and an O(previous
+// footprint) restore afterwards.
 func (sc *Scratch) bandsBuf(m, w int, colShape grid.Shape, k int) *bands.Set {
 	if sc == nil {
 		return bands.NewSet(m, w, colShape, k)
@@ -326,6 +335,29 @@ func (sc *Scratch) cornerCoordBuf(d1 int) []int {
 	return sc.cornerCoord[:d1]
 }
 
+// boxClassifyBufs sizes interpolateDelta's box-classification buffers
+// (grown geometrically off the hot path) and hands out the sliced views:
+// copyable and isMatched over the new boxes, matched over the previous.
+func (sc *Scratch) boxClassifyBufs(nBoxes, nPrev int) (copyable, matched, isMatched []bool) {
+	if cap(sc.boxCopyable) < nBoxes {
+		sc.boxCopyable = make([]bool, nBoxes)
+		sc.boxIsMatch = make([]bool, nBoxes)
+	}
+	if cap(sc.boxMatched) < nPrev {
+		sc.boxMatched = make([]bool, nPrev)
+	}
+	return sc.boxCopyable[:nBoxes], sc.boxMatched[:nPrev], sc.boxIsMatch[:nBoxes]
+}
+
+// session returns the scratch's own Session, the one a one-shot
+// ContainTorus evaluates through, rebuilt when the graph changes.
+func (sc *Scratch) session(g *Graph) *Session {
+	if sc.ses == nil || sc.ses.g != g {
+		sc.ses = g.NewSession(sc, ExtractOptions{})
+	}
+	return sc.ses
+}
+
 // footprintBufs returns three d1-sized work slices for the footprint
 // odometer.
 func (sc *Scratch) footprintBufs(d1 int) (starts, counts, coord []int) {
@@ -371,8 +403,8 @@ func (sc *Scratch) dstBuf(n int) []int32 {
 	return sc.consDst[:n]
 }
 
-// cleanVecBuf returns the length-n buffer holding the clean-region row
-// vector when the anchor column is dirty (see extractFast).
+// cleanVecBuf returns the length-n buffer extractIncremental's island
+// probe re-derives a kept column's vector into.
 func (sc *Scratch) cleanVecBuf(n int) []int32 {
 	if cap(sc.cleanVec) < n {
 		sc.cleanVec = make([]int32, n)
@@ -394,7 +426,7 @@ func (sc *Scratch) colSeenBuf(m int) []int32 {
 }
 
 // faultColBuf returns the generation-counted per-column fault marker used
-// by the verifiers' single fault pass, freshly bumped: entries equal to
+// by the verifier's single fault pass, freshly bumped: entries equal to
 // the returned generation mark columns holding at least one fault.
 func (sc *Scratch) faultColBuf(numCols int) ([]int32, int32) {
 	if cap(sc.faultCol) < numCols {
@@ -405,21 +437,21 @@ func (sc *Scratch) faultColBuf(numCols int) ([]int32, int32) {
 	return sc.faultCol[:numCols], sc.faultGen
 }
 
-// ensureFast prepares the persistent fast-path state for one trial on
-// graph g: on first use (or after a graph switch or a dense extraction)
-// it points every row-map header at the template's default rows and fills
-// the embedding with the default map (O(N), paid once); afterwards it
-// restores only the columns the previous trial dirtied, in O(previous
-// footprint).
-func (sc *Scratch) ensureFast(g *Graph, tpl *template) (rowmap [][]int32, rowflat []int32, dev []bool, e *embed.Embedding, err error) {
+// ensureFast restores the scratch to the template state for a cold
+// start on graph g: on first use (or after a graph switch, a dense
+// extraction or a failed Eval) it points every row-map header at the
+// template's default rows and fills the embedding with the default map
+// (O(N), paid once); afterwards it restores only the prevDirty columns,
+// in O(previous footprint).
+func (sc *Scratch) ensureFast(g *Graph, tpl *template) error {
 	p := g.P
 	n := p.N()
 	numCols := g.NumCols
 	guest, err := sc.guestTorus(p.D, n)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return err
 	}
-	e = sc.embedding(guest)
+	e := sc.embedding(guest)
 	if cap(sc.rowmap) < numCols {
 		sc.rowmap = make([][]int32, numCols)
 		sc.fastInit = false
@@ -429,6 +461,7 @@ func (sc *Scratch) ensureFast(g *Graph, tpl *template) (rowmap [][]int32, rowfla
 		sc.rowflat = make([]int32, numCols*n)
 		sc.fastInit = false
 	}
+	sc.rowflat = sc.rowflat[:numCols*n]
 	if cap(sc.devCols) < numCols {
 		sc.devCols = make([]bool, numCols)
 		sc.fastInit = false
@@ -450,7 +483,6 @@ func (sc *Scratch) ensureFast(g *Graph, tpl *template) (rowmap [][]int32, rowfla
 				e.Map[base+z] = host + z
 			}
 		}
-		sc.prevDirty = sc.prevDirty[:0]
 		sc.fastInit = true
 	} else {
 		for _, z32 := range sc.prevDirty {
@@ -463,13 +495,7 @@ func (sc *Scratch) ensureFast(g *Graph, tpl *template) (rowmap [][]int32, rowfla
 				}
 			}
 		}
-		sc.prevDirty = sc.prevDirty[:0]
 	}
-	return sc.rowmap, sc.rowflat[:numCols*n], sc.devCols, e, nil
-}
-
-// notePrevDirty records the columns this trial overwrote, for the next
-// trial's restore.
-func (sc *Scratch) notePrevDirty(dirty []int32) {
-	sc.prevDirty = append(sc.prevDirty[:0], dirty...)
+	sc.prevDirty = sc.prevDirty[:0]
+	return nil
 }

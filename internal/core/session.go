@@ -1,4 +1,5 @@
-// Bidirectional delta evaluation for the Theorem 2 pipeline.
+// Bidirectional delta evaluation for the Theorem 2 pipeline: the one
+// locality-aware evaluation engine.
 //
 // A Session carries the pipeline state — copy-on-write band families,
 // row vectors, embedding, certification — across a sequence of Evals
@@ -6,13 +7,15 @@
 // or both at once. Each Eval re-derives only the columns whose band
 // values actually changed since the last successful Eval, and its result
 // is bit-identical to a from-scratch dense evaluation of the same fault
-// set (the golden interleaving suite pins this). The monotone rate-ladder
-// sweep (SweepTrial) and the dynamic churn workloads (internal/churn) are
-// both thin clients of this engine.
+// set (the golden interleaving suite pins this). A cold start is the
+// same delta, taken from the graph's all-defaults template (locality.go)
+// with no previous boxes: Lemmas 5-7 put every column outside a box
+// footprint at its default, so the template is a valid previous committed
+// state. A one-shot ContainTorus with a Scratch, the coupled rate-ladder
+// sweep (internal/sweep) and the dynamic churn workloads (internal/churn)
+// are all thin clients of this engine.
 //
-// The reuse argument is the locality/path-independence argument the
-// per-trial fast path (locality.go) makes against the all-defaults
-// template, applied between two consecutive band families instead:
+// The reuse argument, between two consecutive band families:
 //
 //   - Placement (Lemmas 5, 9-11) makes every column's band values a pure
 //     function of the pinned corners in its own tile cell, so two
@@ -27,7 +30,10 @@
 //     and for unchanged "island" components whose first re-derived contact
 //     disagrees with the kept vector (Lemma 7 makes each island
 //     all-or-nothing, so one O(n) comparison per boundary contact
-//     decides the whole component).
+//     decides the whole component). When a fault box moves column 0's
+//     bands, the anchor rotates every clean column's vector; the island
+//     probe then finds the whole clean region shifted and re-derives it,
+//     so the rotated state is an ordinary committed state.
 //   - Verification re-certifies exactly the deviating columns whose
 //     vector was re-derived, the deviating neighbors of re-derived
 //     columns (their cross-column edges face new vectors), and the
@@ -53,7 +59,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 
 	"ftnet/internal/bands"
@@ -75,18 +80,19 @@ const (
 // copy-on-write band families (successive Evals alternate between them
 // so the previous state's values survive for diffing) and the
 // bookkeeping of which columns each Eval actually recomputed. A Session
-// wraps one Scratch and, like it, must never be shared by concurrent
+// works in one Scratch and, like it, must never be shared by concurrent
 // trials; it stays valid across trials (call Reset at each trial start).
+// Other users of the same Scratch — another Session, a one-shot
+// ContainTorus, a dense-pipeline call — overwrite its committed state;
+// the next Eval notices (Scratch.owner) and starts cold.
 type Session struct {
 	g    *Graph
 	sc   *Scratch
 	opts ExtractOptions
 
 	bsA, bsB *bands.Set
-	cur      *bands.Set // family described by the scratch's rowmap/embedding state
-	warm     bool       // scratch state valid for incremental reuse against cur
+	cur      *bands.Set // committed family described by the scratch's rowmap/embedding state; nil after Reset
 
-	touched   []int32 // columns re-derived at any Eval since Reset (== sc.prevDirty)
 	churnCols []int32 // columns whose fault membership changed since the last successful Eval
 
 	// Wire-delta accounting (DrainDelta): every embedding write since the
@@ -97,14 +103,7 @@ type Session struct {
 	deltaCand []int32
 	deltaFull bool
 
-	// Box-level placement diff: the previous successful Eval's box list
-	// and the per-box classification buffers of the current one (see
-	// interpolateDelta; session-owned so the per-event hot path does not
-	// allocate).
-	prevBoxes []*faultBox
-	copyable  []bool
-	matchedA  []bool
-	matchedB  []bool
+	prevBoxes []*faultBox // box list of the last successful Eval, for interpolateDelta
 
 	mark    []int32 // per-column generation stamps (diff and verify-set dedup)
 	gen     int32
@@ -127,11 +126,32 @@ func (g *Graph) NewSession(sc *Scratch, opts ExtractOptions) *Session {
 	return &Session{g: g, sc: sc, opts: opts}
 }
 
-// Reset starts a new trial: the next Eval rebuilds the pipeline state
-// from scratch instead of diffing against the previous trial's state.
+// Reset starts a new trial: the next Eval is a cold start, a delta from
+// the template instead of from the previous trial's state.
 func (s *Session) Reset() {
-	s.warm = false
+	s.cur = nil
 	s.churnCols = s.churnCols[:0]
+}
+
+// warm reports whether the scratch still holds this session's last
+// committed state, so the next Eval can diff against it.
+func (s *Session) warm() bool { return s.cur != nil && s.sc.owner == s }
+
+// rotated reports whether the committed state rotates the anchor: some
+// column outside the family's dirty set carries a row vector other than
+// the template's default rows. Kept columns alias the template vector,
+// so the common unrotated case costs one pointer comparison per column.
+func (s *Session) rotated() bool {
+	tpl, err := s.g.template()
+	if err != nil || !s.warm() {
+		return false
+	}
+	for z, rows := range s.sc.rowmap[:s.g.NumCols] {
+		if !s.cur.IsDirty(z) && &rows[0] != &tpl.defaultRows[0] && !int32Equal(rows, tpl.defaultRows) {
+			return true
+		}
+	}
+	return false
 }
 
 // NoteAdded records newly added fault indices (as returned by
@@ -163,117 +183,142 @@ func (s *Session) NoteCleared(cleared []int) {
 // previous successful Eval's work as the band-value diff allows. The
 // fault set may differ from the previous Eval's by any mixture of
 // additions and removals, as long as every mutation since the last
-// successful Eval was reported through NoteAdded/NoteCleared. The Result
-// aliases the Session and is valid only until the next Eval or Reset.
-// An *UnhealthyError is a survival failure (state stays warm: the next
-// Eval diffs against the last healthy state); other errors are bugs.
+// successful Eval was reported through NoteAdded/NoteCleared. After
+// Reset, on first use, or once another user of the scratch has
+// overwritten this session's state, the previous state is the template
+// (a cold start). The Result aliases the Session and is valid only until
+// the next Eval or Reset. An *UnhealthyError is a survival failure
+// (state stays warm: the next Eval diffs against the last healthy
+// state); other errors are bugs.
 //
 //ftnet:hotpath
 func (s *Session) Eval(faults *fault.Set) (*Result, error) {
 	g, sc := s.g, s.sc
-	if s.opts.Dense || sc == nil {
+	if s.opts.dense() {
 		s.deltaFull = true
-		return g.ContainTorus(faults, s.opts)
+		return g.containDense(faults, s.opts)
 	}
 	tpl, err := g.template()
 	if err != nil {
 		// No usable template (e.g. ablated edge classes): every Eval runs
-		// the standalone pipeline, which reports such failures on its own
-		// terms.
+		// the dense pipeline, which reports such failures on its own terms.
 		s.deltaFull = true
-		return g.ContainTorus(faults, s.opts)
+		return g.containDense(faults, s.opts)
 	}
 	s.ensureBuffers()
-	target := s.bsA
-	if s.cur == s.bsA {
-		target = s.bsB
-	}
 	boxes, rep, err := g.buildBoxes(faults, sc)
 	if err != nil {
 		return nil, err // unhealthy box structure leaves the warm state untouched
 	}
-	warm := s.warm && sc.fastInit && sc.fastGraph == g && s.cur != nil
-	var bs *bands.Set
-	if warm {
-		bs, err = s.interpolateDelta(boxes, tpl, target)
-	} else {
-		bs, err = g.interpolateFast(boxes, sc, tpl, target)
+	warm := s.warm()
+	prev, prevBoxes := s.cur, s.prevBoxes
+	if !warm {
+		prev, prevBoxes = tpl.bs, nil
 	}
+	target := s.bsA
+	if prev == s.bsA {
+		if s.bsB == nil {
+			// Only a warm Eval needs the second family; one-shot trials never do.
+			s.bsB = bands.NewSet(g.P.M(), g.P.W, g.ColShape, g.P.K())
+		}
+		target = s.bsB
+	}
+	bs, err := g.interpolateDelta(boxes, prevBoxes, prev, sc, tpl, target)
 	if err != nil {
 		return nil, err // unhealthy placements leave the warm state untouched
 	}
-	res := &Result{Bands: bs, Report: rep}
-
 	if !warm {
-		return s.evalCold(bs, boxes, faults, tpl, res)
+		// Cold start: restore the scratch to the template and take it over.
+		// The restore rewrites embedding columns outside any delta.
+		if err := sc.ensureFast(g, tpl); err != nil {
+			return nil, err
+		}
+		sc.owner = s
+		s.deltaFull = true
+		s.deltaCand = s.deltaCand[:0]
 	}
+	if err := s.evalDelta(prev, bs, faults, tpl); err != nil {
+		// Past placement every failure is a bug, and extraction may have
+		// left the scratch half-written: the next Eval re-seeds it whole.
+		sc.owner = nil
+		sc.fastInit = false
+		return nil, err
+	}
+	s.cur = bs
+	s.prevBoxes = boxes
+	s.churnCols = s.churnCols[:0]
+	return &Result{Bands: bs, Embedding: sc.emb, Report: rep}, nil
+}
 
-	// Diff the new family against the last successful Eval's: every value
-	// difference lies inside the union of the two dirty sets (see the
-	// package comment — the union is what catches healed columns).
+// evalDelta diffs the new family bs against prev, the family the
+// scratch's row vectors describe, then re-derives and re-certifies what
+// changed.
+//
+//ftnet:hotpath
+func (s *Session) evalDelta(prev, bs *bands.Set, faults *fault.Set, tpl *template) error {
+	// Every value difference lies inside the union of the two dirty sets
+	// (see the package comment — the union is what catches healed
+	// columns).
 	s.gen++
 	s.changed = s.changed[:0]
-	for _, list := range [2][]int32{s.cur.DirtyColumns(), bs.DirtyColumns()} {
+	for _, list := range [2][]int32{prev.DirtyColumns(), bs.DirtyColumns()} {
 		for _, z32 := range list {
 			if s.mark[z32] == s.gen {
 				continue
 			}
 			s.mark[z32] = s.gen
-			if !bs.ColumnEqual(s.cur, int(z32)) {
+			if !bs.ColumnEqual(prev, int(z32)) {
 				s.changed = append(s.changed, z32)
 			}
 		}
 	}
 	if err := bs.ValidateColumns(s.changed); err != nil {
-		return nil, fterr.Wrapf(fterr.Internal, "core", err, "placed bands invalid")
+		return fterr.Wrapf(fterr.Internal, "core", err, "placed bands invalid")
 	}
-	if err := g.checkAllMasked(bs, faults); err != nil {
-		return nil, err
+	if err := s.g.checkAllMasked(bs, faults); err != nil {
+		return err
 	}
 	if err := s.extractIncremental(bs, tpl); err != nil {
-		return nil, err
+		return err
 	}
-	if err := s.verifyIncremental(faults, tpl); err != nil {
-		return nil, err
-	}
-	res.Embedding = sc.emb
-	s.commit(bs, boxes)
-	return res, nil
+	return s.verifyIncremental(faults, tpl)
 }
 
-// interpolateDelta is the placement half of the delta evaluation: it
-// seeds target from the template and then, box by box, either copies the
-// box's footprint values from the last committed family (when the box
-// and every box that can influence its footprint are unchanged — values
-// are then bit-identical by construction) or re-interpolates it with the
-// fresh pinned table. A box is "unchanged" when its tile geometry and
-// padded segment list match a previous box exactly; it is demoted to
+// interpolateDelta is the footprint interpolation of the placement
+// stage: it seeds dst from the template and then, box by box, either
+// copies the box's footprint values from prev, the family placed from
+// prevBoxes (when the box and every box that can influence its footprint
+// are unchanged — values are then bit-identical by construction), or
+// re-interpolates it with the fresh pinned table. Every (slab, column)
+// outside the footprints keeps its template value by Lemmas 9-11 (no
+// pinned corner in range), so the result is bit-identical to the dense
+// interpolation. A box is "unchanged" when its tile geometry and padded
+// segment list match a previous box exactly; it is demoted to
 // re-interpolation when any added or removed box sits close enough
 // (expanded footprints intersecting in every dimension) for its pins to
-// reach into a shared tile cell. The result is bit-identical to
-// interpolateFast on the same boxes; only the cost differs — a churn
+// reach into a shared tile cell. With no previous boxes every box is
+// interpolated afresh — a cold start, and PlaceBandsScratch; a churn
 // event pays for the toggled box, not the standing population.
 //
 //ftnet:hotpath
-func (s *Session) interpolateDelta(boxes []*faultBox, tpl *template, dst *bands.Set) (*bands.Set, error) {
-	g, sc := s.g, s.sc
+func (g *Graph) interpolateDelta(boxes, prevBoxes []*faultBox, prev *bands.Set, sc *Scratch, tpl *template, dst *bands.Set) (*bands.Set, error) {
 	p := g.P
 	d1 := p.D - 1
 	per := p.PerSlab()
 	numSlabs := p.NumSlabs()
 	cornerShape := g.cornerShape
-	tileShape := g.TileShape()
+	tileShape := g.tileShape
 
 	// Classify: copyable[i] means boxes[i] has an identical predecessor.
 	// matched[j] marks predecessors that found a successor; the rest were
 	// removed and count as perturbing.
-	copyable, matched := s.boxClassifyBufs(len(boxes), len(s.prevBoxes))
+	copyable, matched, isMatched := sc.boxClassifyBufs(len(boxes), len(prevBoxes))
 	for j := range matched {
 		matched[j] = false
 	}
 	for i, b := range boxes {
 		copyable[i] = false
-		for j, pb := range s.prevBoxes {
+		for j, pb := range prevBoxes {
 			if !matched[j] && sameBox(b, pb) {
 				copyable[i] = true
 				matched[j] = true
@@ -285,8 +330,7 @@ func (s *Session) interpolateDelta(boxes []*faultBox, tpl *template, dst *bands.
 	// changed new box (unmatched above) or a removed predecessor. The
 	// perturber set is fixed before demotion — a demoted-but-matched box
 	// keeps its pins, so demotion does not cascade through it.
-	isMatched := append(s.matchedB[:0], copyable...)
-	s.matchedB = isMatched
+	copy(isMatched, copyable)
 	for i, b := range boxes {
 		if !copyable[i] {
 			continue
@@ -300,7 +344,7 @@ func (s *Session) interpolateDelta(boxes []*faultBox, tpl *template, dst *bands.
 		if !copyable[i] {
 			continue
 		}
-		for j, pb := range s.prevBoxes {
+		for j, pb := range prevBoxes {
 			if !matched[j] && boxesInfluence(b, pb, tileShape) {
 				copyable[i] = false
 				break
@@ -317,7 +361,6 @@ func (s *Session) interpolateDelta(boxes []*faultBox, tpl *template, dst *bands.
 	}
 	ev := sc.colEvalBuf(g, tpl.defaults, pinned, cornerShape)
 	starts, counts, coord := sc.footprintBufs(d1)
-	cur := s.cur
 	for i, b := range boxes {
 		if copyable[i] {
 			g.footprintColumns(b, starts, counts, coord,
@@ -325,7 +368,7 @@ func (s *Session) interpolateDelta(boxes []*faultBox, tpl *template, dst *bands.
 				func(z int) {
 					for rs := 0; rs < b.ext[0]; rs++ {
 						gLo := grid.Add(b.lo[0], rs, numSlabs) * per
-						dst.CopyBandRange(cur, gLo, gLo+per, z)
+						dst.CopyBandRange(prev, gLo, gLo+per, z)
 					}
 				})
 			continue
@@ -340,19 +383,6 @@ func (s *Session) interpolateDelta(boxes []*faultBox, tpl *template, dst *bands.
 			})
 	}
 	return dst, nil
-}
-
-// boxClassifyBufs sizes the session's box-classification scratch (grown
-// geometrically off the hot path) and hands out the sliced views.
-func (s *Session) boxClassifyBufs(nBoxes, nPrev int) (copyable, matched []bool) {
-	if cap(s.copyable) < nBoxes {
-		s.copyable = make([]bool, nBoxes)
-		s.matchedB = make([]bool, nBoxes)
-	}
-	if cap(s.matchedA) < nPrev {
-		s.matchedA = make([]bool, nPrev)
-	}
-	return s.copyable[:nBoxes], s.matchedA[:nPrev]
 }
 
 // sameBox reports whether two fault boxes are identical in tile geometry
@@ -398,9 +428,8 @@ func (s *Session) ensureBuffers() {
 	if s.bsA == nil || s.bsA.K() != g.P.K() || s.bsA.M != g.P.M() || s.bsA.NumColumns() != numCols {
 		p := g.P
 		s.bsA = bands.NewSet(p.M(), p.W, g.ColShape, p.K())
-		s.bsB = bands.NewSet(p.M(), p.W, g.ColShape, p.K())
+		s.bsB = nil
 		s.cur = nil
-		s.warm = false
 	}
 	if cap(s.mark) < numCols {
 		s.mark = make([]int32, numCols)
@@ -413,54 +442,6 @@ func (s *Session) ensureBuffers() {
 		s.ncoord = make([]int, g.P.D-1)
 	}
 	s.ncoord = s.ncoord[:g.P.D-1]
-}
-
-// evalCold runs the standalone extract+verify path (exactly ContainTorus
-// after placement) and, when it leaves the scratch in the reusable
-// fast-path state, marks the session warm for the next Eval.
-func (s *Session) evalCold(bs *bands.Set, boxes []*faultBox, faults *fault.Set, tpl *template, res *Result) (*Result, error) {
-	g, sc := s.g, s.sc
-	s.deltaFull = true // extractFast rebuilds the whole embedding
-	if err := bs.ValidateDirty(); err != nil {
-		return nil, fmt.Errorf("core: placed bands invalid: %w", err)
-	}
-	if err := g.checkAllMasked(bs, faults); err != nil {
-		return nil, err
-	}
-	emb, err := g.extractFast(bs, tpl, s.opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := g.verifyFast(emb, bs, faults, tpl, sc); err != nil {
-		return nil, err
-	}
-	if sc.rotated {
-		// The anchor genuinely rotated and the extraction rewrote the
-		// whole host map. Re-arm the fast path from the just-verified
-		// state: the next Eval diffs against the rotated embedding
-		// incrementally instead of paying the dense rebuild forever.
-		g.rearmRotated(tpl, sc)
-	}
-	res.Embedding = emb
-	s.commit(bs, boxes)
-	return res, nil
-}
-
-// commit records a successful Eval: the scratch's rowmap/dev/embedding
-// state now describes bs (placed from boxes), and sc.prevDirty (the
-// inter-trial restore list) must cover every column deviating from the
-// template — the union of everything any Eval since Reset re-derived.
-func (s *Session) commit(bs *bands.Set, boxes []*faultBox) {
-	sc := s.sc
-	s.cur = bs
-	s.prevBoxes = boxes
-	s.warm = sc.fastInit && sc.fastGraph == s.g
-	s.touched = append(s.touched[:0], sc.prevDirty...)
-	s.churnCols = s.churnCols[:0]
-	if len(s.recomp) > 0 {
-		s.recomp = s.recomp[:0]
-		s.oldDev = s.oldDev[:0]
-	}
 }
 
 // DrainDelta reports which embedding columns may have been rewritten
@@ -647,6 +628,7 @@ func (s *Session) extractIncremental(bs *bands.Set, tpl *template) error {
 
 	// Sync the embedding for re-derived columns: deviating vectors are
 	// written out, restored-to-base vectors fall back to the default map.
+	// A pending full rewrite already covers every column's delta.
 	e := sc.emb
 	for i, z32 := range s.recomp {
 		z := int(z32)
@@ -656,11 +638,14 @@ func (s *Session) extractIncremental(bs *bands.Set, tpl *template) error {
 			for j := 0; j < n; j++ {
 				e.Map[j*numCols+z] = int(rows[j])*numCols + z
 			}
-			s.deltaCand = append(s.deltaCand, z32)
 		case s.oldDev[i]:
 			for j := 0; j < n; j++ {
 				e.Map[j*numCols+z] = int(base[j])*numCols + z
 			}
+		default:
+			continue
+		}
+		if !s.deltaFull {
 			s.deltaCand = append(s.deltaCand, z32)
 		}
 	}

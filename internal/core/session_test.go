@@ -157,7 +157,7 @@ func TestSessionHealToTemplate(t *testing.T) {
 	}
 	ses.NoteAdded(nodes)
 	evalSessionBoth(t, g, ses, faults, "grown")
-	if !ses.warm {
+	if !ses.warm() {
 		t.Fatal("session not warm after first Eval")
 	}
 	// Heal one at a time down to empty; every intermediate state must be
@@ -166,7 +166,7 @@ func TestSessionHealToTemplate(t *testing.T) {
 		faults.Remove(u)
 		ses.NoteCleared(nodes[i : i+1])
 		evalSessionBoth(t, g, ses, faults, fmt.Sprintf("healed %d", i))
-		if !ses.warm {
+		if !ses.warm() {
 			t.Fatalf("session went cold healing fault %d", i)
 		}
 	}
@@ -225,7 +225,7 @@ func TestSessionUnhealthyRecovery(t *testing.T) {
 	faults.RemoveAll(cluster)
 	ses.NoteCleared(cluster)
 	evalSessionBoth(t, g, ses, faults, "healed after unhealthy")
-	if !ses.warm {
+	if !ses.warm() {
 		t.Fatal("session went cold across the unhealthy episode")
 	}
 }
@@ -284,5 +284,53 @@ func TestSessionChurnSurvivesFailedEval(t *testing.T) {
 	evalSessionBoth(t, g, ses, faults, "healed after failed eval")
 	if len(ses.churnCols) != 0 {
 		t.Fatalf("successful Eval left %d churn columns pending", len(ses.churnCols))
+	}
+}
+
+// TestSessionSharedScratch interleaves a warm Session with every other
+// user a Scratch can have — a one-shot ContainTorus, a second Session
+// and a dense-pipeline call — and pins each Eval to the dense pipeline.
+// Whoever touched the scratch last, the Session must notice that the
+// scratch no longer holds its committed state and re-seed from the
+// template instead of diffing against another trial's row vectors.
+func TestSessionSharedScratch(t *testing.T) {
+	g := mustGraph(t, testParams2D())
+	sc := NewScratch(1)
+	ses := g.NewSession(sc, ExtractOptions{})
+	other := g.NewSession(sc, ExtractOptions{})
+	rate := 10 * g.P.TheoremFailureProb()
+	var buf []int
+	for seed := uint64(0); seed < 40; seed++ {
+		r := rng.NewPCG(5150, seed)
+		ses.Reset()
+		faults := fault.NewSet(g.NumNodes())
+		buf = faults.BernoulliRecord(r, rate, buf[:0])
+		ses.NoteAdded(buf)
+		evalSessionBoth(t, g, ses, faults, fmt.Sprintf("seed=%d base", seed))
+		for step := 0; step < 3; step++ {
+			intruder := fault.NewSet(g.NumNodes())
+			intruder.Bernoulli(r, rate)
+			var user string
+			switch (int(seed) + step) % 3 {
+			case 0:
+				user = "one-shot"
+				runBoth(t, g, intruder, sc, fmt.Sprintf("seed=%d step=%d one-shot", seed, step))
+			case 1:
+				user = "session"
+				other.Reset()
+				evalSessionBoth(t, g, other, intruder, fmt.Sprintf("seed=%d step=%d other session", seed, step))
+			case 2:
+				user = "dense"
+				if _, err := g.ContainTorus(intruder, ExtractOptions{Scratch: sc, Dense: true}); err != nil {
+					var ue *UnhealthyError
+					if !errors.As(err, &ue) {
+						t.Fatalf("seed=%d step=%d dense: %v", seed, step, err)
+					}
+				}
+			}
+			buf = faults.BernoulliRecord(r, rate/4, buf[:0])
+			ses.NoteAdded(buf)
+			evalSessionBoth(t, g, ses, faults, fmt.Sprintf("seed=%d step=%d after %s", seed, step, user))
+		}
 	}
 }

@@ -22,15 +22,6 @@ func sweepRates(g *Graph) []float64 {
 	return out
 }
 
-// evalBoth compares one SweepTrial rung against a from-scratch dense
-// evaluation of the same fault set: outcome class, bands and embedding
-// must be bit-identical. The comparison itself lives with the Session
-// engine (evalSessionBoth, session_test.go).
-func evalBoth(t *testing.T, g *Graph, st *SweepTrial, faults *fault.Set, label string) {
-	t.Helper()
-	evalSessionBoth(t, g, st.ses, faults, label)
-}
-
 // TestSweepLadderEquivalence walks coupled 9-rung ladders across many
 // trial streams and pins every rung's result to the dense pipeline —
 // the golden test of the incremental placement/extraction/verification
@@ -39,7 +30,7 @@ func TestSweepLadderEquivalence(t *testing.T) {
 	g := mustGraph(t, testParams2D())
 	rates := sweepRates(g)
 	sc := NewScratch(1)
-	st := g.NewSweepTrial(sc, ExtractOptions{})
+	st := g.NewSession(sc, ExtractOptions{})
 	var added []int
 	for seed := uint64(0); seed < 12; seed++ {
 		st.Reset()
@@ -52,9 +43,9 @@ func TestSweepLadderEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st.NoteFaults(added)
+			st.NoteAdded(added)
 			prev = rate
-			evalBoth(t, g, st, faults, fmt.Sprintf("seed=%d rung=%d (%d faults)", seed, r, faults.Count()))
+			evalSessionBoth(t, g, st, faults, fmt.Sprintf("seed=%d rung=%d (%d faults)", seed, r, faults.Count()))
 		}
 	}
 }
@@ -68,7 +59,7 @@ func TestSweepSkippedRungEquivalence(t *testing.T) {
 	g := mustGraph(t, testParams2D())
 	rates := sweepRates(g)
 	sc := NewScratch(1)
-	st := g.NewSweepTrial(sc, ExtractOptions{})
+	st := g.NewSession(sc, ExtractOptions{})
 	var added []int
 	for seed := uint64(100); seed < 106; seed++ {
 		st.Reset()
@@ -81,12 +72,12 @@ func TestSweepSkippedRungEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st.NoteFaults(added)
+			st.NoteAdded(added)
 			prev = rate
 			if r%2 == 1 {
 				continue // skipped rung: sampling advanced, pipeline not run
 			}
-			evalBoth(t, g, st, faults, fmt.Sprintf("skip seed=%d rung=%d", seed, r))
+			evalSessionBoth(t, g, st, faults, fmt.Sprintf("skip seed=%d rung=%d", seed, r))
 		}
 	}
 }
@@ -132,7 +123,7 @@ func TestSweepCraftedTransitions(t *testing.T) {
 		}},
 	}
 	sc := NewScratch(1)
-	st := g.NewSweepTrial(sc, ExtractOptions{})
+	st := g.NewSession(sc, ExtractOptions{})
 	for _, c := range cases {
 		st.Reset()
 		faults := sc.Faults(g.NumNodes())
@@ -140,8 +131,8 @@ func TestSweepCraftedTransitions(t *testing.T) {
 			for _, u := range nodes {
 				faults.Add(u)
 			}
-			st.NoteFaults(nodes)
-			evalBoth(t, g, st, faults, fmt.Sprintf("%s rung=%d", c.label, r))
+			st.NoteAdded(nodes)
+			evalSessionBoth(t, g, st, faults, fmt.Sprintf("%s rung=%d", c.label, r))
 		}
 	}
 }
@@ -154,7 +145,7 @@ func TestSweepCraftedTransitions(t *testing.T) {
 func TestSweepNonMonotone(t *testing.T) {
 	g := mustGraph(t, testParams2D())
 	sc := NewScratch(1)
-	st := g.NewSweepTrial(sc, ExtractOptions{})
+	st := g.NewSession(sc, ExtractOptions{})
 	st.Reset()
 	x := g.NodeIndex(100, 100)
 	y := g.NodeIndex(400, 300)
@@ -173,19 +164,19 @@ func TestSweepNonMonotone(t *testing.T) {
 		for _, u := range s.nodes {
 			faults.Add(u)
 		}
-		st.NoteFaults(s.nodes)
-		evalBoth(t, g, st, faults, "non-monotone "+s.label)
+		st.NoteAdded(s.nodes)
+		evalSessionBoth(t, g, st, faults, "non-monotone "+s.label)
 	}
 }
 
 // TestSweepTrialReuseAcrossTrials runs several coupled trials back to
-// back on one SweepTrial: the Reset + inter-trial restore path must leave
+// back on one Session: the Reset + inter-trial restore path must leave
 // no residue from the previous trial's ladder.
 func TestSweepTrialReuseAcrossTrials(t *testing.T) {
 	g := mustGraph(t, testParams2D())
 	rates := sweepRates(g)
 	sc := NewScratch(1)
-	st := g.NewSweepTrial(sc, ExtractOptions{})
+	st := g.NewSession(sc, ExtractOptions{})
 	var added []int
 	for trial := uint64(0); trial < 6; trial++ {
 		st.Reset()
@@ -198,12 +189,12 @@ func TestSweepTrialReuseAcrossTrials(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st.NoteFaults(added)
+			st.NoteAdded(added)
 			prev = rate
 			if r == 4 || r == 8 {
 				// Only spot-check two rungs per trial; the cross-trial state
 				// reuse is what is under test here.
-				evalBoth(t, g, st, faults, fmt.Sprintf("trial=%d rung=%d", trial, r))
+				evalSessionBoth(t, g, st, faults, fmt.Sprintf("trial=%d rung=%d", trial, r))
 			} else if _, err := st.Eval(faults); err != nil {
 				var ue *UnhealthyError
 				if !errors.As(err, &ue) {
@@ -214,7 +205,7 @@ func TestSweepTrialReuseAcrossTrials(t *testing.T) {
 	}
 }
 
-// TestSweepFullFootprint pins the fast path's full-footprint mode (no
+// TestSweepFullFootprint pins the delta engine's full-footprint mode (no
 // clean frontier anywhere): dense equivalence at a rate whose boxes cover
 // every column tile.
 func TestSweepFullFootprint(t *testing.T) {

@@ -96,7 +96,8 @@ func (c Config) sweepConfig() sweep.Config {
 // coreScratch is the standard per-worker scratch factory for trials
 // running the Theorem 2 pipeline: pooled buffers with inner parallelism
 // pinned to 1 so the trial pool owns all concurrency. The scratch also
-// enables the locality-aware fast path (unless Config.Dense disables it).
+// enables the footprint-sized delta engine (unless Config.Dense disables
+// it).
 func coreScratch() any { return core.NewScratch(1) }
 
 // extractOpts is the standard per-trial pipeline options for a worker's

@@ -160,7 +160,7 @@ func runE3(cfg Config) error {
 				var placeErr error
 				if cfg.Dense {
 					// Honor the -dense ablation: the scratch-backed call
-					// below always takes the locality fast path.
+					// below always takes the footprint interpolation.
 					_, _, placeErr = g.PlaceBands(faults)
 				} else {
 					_, _, placeErr = g.PlaceBandsScratch(faults, es.sc)

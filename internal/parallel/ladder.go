@@ -18,7 +18,7 @@ import (
 // must be bit-identical whether or not earlier rungs were evaluated.
 // Coupled sweep trials satisfy this by drawing all randomness during
 // rung-independent sampling and keeping each rung's evaluation a pure
-// function of the sampled state (core.SweepTrial's equivalence contract).
+// function of the sampled state (core.Session's equivalence contract).
 type LadderTrial func(t int, stream *rng.PCG, scratch any, stopped []bool, out []stats.Outcome) error
 
 // RungReport is one rung's aggregated result.
