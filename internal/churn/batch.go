@@ -4,8 +4,6 @@ import (
 	"errors"
 
 	"ftnet/internal/core"
-	"ftnet/internal/fterr"
-	"ftnet/internal/rng"
 )
 
 // Batched lifetime evaluation: the daemon's batching policy ported into
@@ -31,8 +29,9 @@ import (
 // verification fail only on bug-class invariant violations — so the
 // probe is the oracle's exact status at a fraction of its cost.
 //
-// The batched trial therefore draws the same events in the same order
-// as the per-event oracle, accrues availability with the same
+// Batched mode therefore runs the per-event oracle's own event loop
+// (lifetimeTrial) with only the status source swapped: it draws the
+// same events in the same order, accrues availability with the same
 // floating-point operands in the same order, latches death at the same
 // event with the same standing fault count, and aborts on MaxEvents at
 // the same point with the same error: every reported metric is
@@ -58,89 +57,3 @@ func evalClass(err error) (bool, error) {
 // evalErrOnly drops the Result of a Session.Eval: the batch layer only
 // classifies outcomes, it never reads the embedding.
 func evalErrOnly(_ *core.Result, err error) error { return err }
-
-// batchedLifetimeTrial is lifetimeTrial with probed statuses and
-// windowed session evaluation: same generator draws in the same order,
-// same outputs bit for bit, fewer full pipeline evaluations. batch is
-// the session evaluation cadence (>= 2).
-func batchedLifetimeTrial(g *core.Graph, ts *trialState, stream *rng.PCG, horizon float64, maxEvents, batch int, opts Options, out []float64) error {
-	ts.gen.Reset()
-	ts.ses.Reset()
-	ts.ch.Reset()
-
-	up := true // the fault-free host trivially contains the torus
-	died := false
-	deathTime := horizon
-	deathFaults := 0
-	upTime := 0.0
-	now := 0.0
-	events := 0
-	pending := 0 // events since the last committed session Eval
-	for {
-		if events >= maxEvents {
-			// Refusing to report is better than silently crediting the
-			// unsimulated tail of the horizon as up-time.
-			return fterr.New(fterr.Conflict, "churn.lifetimeTrial", "trial exceeded MaxEvents=%d at t=%.3g of horizon %.3g; raise Options.MaxEvents or shorten the horizon", maxEvents, now, horizon)
-		}
-		ev, err := ts.gen.NextMixed(stream, ts.ch)
-		if err != nil {
-			return err
-		}
-		if ev.Time >= horizon {
-			break // the pre-event state persists to the horizon
-		}
-		if up {
-			upTime += ev.Time - now
-		}
-		now = ev.Time
-		events++
-		pending++
-
-		// The session is only evaluated at window boundaries, but its note
-		// contract — every mutation since the last successful Eval — must
-		// hold at each of them, so every event reports its deltas.
-		ts.ses.NoteAdded(ev.EffAdded)
-		ts.ses.NoteCleared(ev.EffCleared)
-
-		upNow, err := evalClass(g.Tolerates(ts.ch.Effective(), ts.sc))
-		if err != nil {
-			return err
-		}
-		if up && !upNow && !died {
-			died = true
-			deathTime = now
-			deathFaults = ts.ch.Nodes().Count() + ts.ch.Edges().Count()
-		}
-		up = upNow
-		if died && opts.StopAtDeath {
-			break
-		}
-		if pending >= batch && up {
-			// Window boundary on a tolerated state: one warm incremental
-			// Eval absorbs the whole window's adds and clears, keeps the
-			// session's committed state (and its next diff) bounded, and
-			// cross-checks the probe against the full pipeline. A down
-			// state defers the boundary — the oracle's failed Evals do not
-			// commit either, and the notes keep accumulating.
-			if err := evalErrOnly(ts.ses.Eval(ts.ch.Effective())); err != nil {
-				var ue *core.UnhealthyError
-				if errors.As(err, &ue) {
-					return fterr.New(fterr.Internal, "churn.batch", "placement probe accepted a state the full pipeline rejects: %v", err)
-				}
-				return err
-			}
-			pending = 0
-		}
-	}
-	if up {
-		upTime += horizon - now
-	}
-	out[MetricDeathTime] = deathTime
-	if died {
-		out[MetricDied] = 1
-		out[MetricDeathFaults] = float64(deathFaults)
-	}
-	out[MetricAvailability] = upTime / horizon
-	out[MetricEvents] = float64(events)
-	return nil
-}

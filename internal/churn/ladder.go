@@ -47,14 +47,9 @@ import (
 type LadderOptions struct {
 	// Workers bounds the trial worker pool; 0 means GOMAXPROCS.
 	Workers int
-	// ShardSize is passed through to the parallel engine.
-	ShardSize int
 	// TargetCI, if positive, stops the run once every nonzero-mean
 	// per-rung metric has this relative 95% precision.
 	TargetCI float64
-	// MinTrials is the minimum committed trial count before early
-	// stopping may trigger.
-	MinTrials int
 	// Horizon is the simulated time per trial (required, > 0).
 	Horizon float64
 	// MaxProposals caps the uniformized clock ticks per trial (arrival
@@ -143,10 +138,8 @@ func SimulateRepairLadder(g *core.Graph, lambda float64, rhos []float64, trials 
 		maxProposals = 1 << 22
 	}
 	popts := parallel.Options{
-		Workers:   opts.Workers,
-		ShardSize: opts.ShardSize,
-		TargetCI:  opts.TargetCI,
-		MinTrials: opts.MinTrials,
+		Workers:  opts.Workers,
+		TargetCI: opts.TargetCI,
 		NewScratch: func() any {
 			ls := &ladderState{
 				sc:      core.NewScratch(1),

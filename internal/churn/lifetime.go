@@ -37,14 +37,9 @@ const (
 type Options struct {
 	// Workers bounds the trial worker pool; 0 means GOMAXPROCS.
 	Workers int
-	// ShardSize is passed through to the parallel engine.
-	ShardSize int
 	// TargetCI, if positive, stops the run once every nonzero-mean
 	// metric has this relative 95% precision (see parallel.RunLifetime).
 	TargetCI float64
-	// MinTrials is the minimum committed trial count before early
-	// stopping may trigger.
-	MinTrials int
 	// Horizon is the simulated time per trial (required, > 0).
 	Horizon float64
 	// MaxEvents caps the churn events per trial as a runaway guard;
@@ -141,10 +136,8 @@ func Simulate(g *core.Graph, proc Process, trials int, seed uint64, opts Options
 		maxEvents = 1 << 20
 	}
 	popts := parallel.Options{
-		Workers:   opts.Workers,
-		ShardSize: opts.ShardSize,
-		TargetCI:  opts.TargetCI,
-		MinTrials: opts.MinTrials,
+		Workers:  opts.Workers,
+		TargetCI: opts.TargetCI,
 		NewScratch: func() any {
 			sc := core.NewScratch(1)
 			gen, err := NewGeneratorHost(proc, g)
@@ -162,11 +155,7 @@ func Simulate(g *core.Graph, proc Process, trials int, seed uint64, opts Options
 		},
 	}
 	rep, err := parallel.RunLifetime(trials, NumMetrics, seed, popts, func(t int, stream *rng.PCG, scratch any, out []float64) error {
-		ts := scratch.(*trialState)
-		if opts.Batch > 1 {
-			return batchedLifetimeTrial(g, ts, stream, opts.Horizon, maxEvents, opts.Batch, opts, out)
-		}
-		return lifetimeTrial(g, ts, stream, opts.Horizon, maxEvents, opts, out)
+		return lifetimeTrial(g, scratch.(*trialState), stream, maxEvents, opts, out)
 	})
 	if err != nil {
 		return Result{}, err
@@ -175,15 +164,22 @@ func Simulate(g *core.Graph, proc Process, trials int, seed uint64, opts Options
 }
 
 // lifetimeTrial steps one trial from the fault-free host to the horizon.
-// The mixed node+edge process mutates a fault.Charger; the pipeline —
-// incremental or from-scratch — always evaluates the *effective*
-// (charged) node set, so both paths stay bit-identical for any mix of
-// node faults and link flaps.
-func lifetimeTrial(g *core.Graph, ts *trialState, stream *rng.PCG, horizon float64, maxEvents int, opts Options, out []float64) error {
+// The mixed node+edge process mutates a fault.Charger, and every status
+// source reads the *effective* (charged) node set, so all of them agree
+// bit for bit for any mix of node faults and link flaps. The status of
+// each event comes from one of three sources:
+//
+//   - opts.Independent: a from-scratch pipeline run (core.ContainTorus);
+//   - opts.Batch >= 2: the placement-only probe (core.Graph.Tolerates),
+//     with one warm session Eval per window of Batch events (batch.go);
+//   - otherwise: a warm incremental session Eval per event.
+func lifetimeTrial(g *core.Graph, ts *trialState, stream *rng.PCG, maxEvents int, opts Options, out []float64) error {
 	ts.gen.Reset()
 	ts.ses.Reset()
 	ts.ch.Reset()
 
+	horizon := opts.Horizon
+	batched := opts.Batch > 1
 	up := true // the fault-free host trivially contains the torus
 	died := false
 	deathTime := horizon
@@ -191,6 +187,7 @@ func lifetimeTrial(g *core.Graph, ts *trialState, stream *rng.PCG, horizon float
 	upTime := 0.0
 	now := 0.0
 	events := 0
+	pending := 0 // batched: events since the last committed session Eval
 	for {
 		if events >= maxEvents {
 			// Refusing to report is better than silently crediting the
@@ -213,31 +210,50 @@ func lifetimeTrial(g *core.Graph, ts *trialState, stream *rng.PCG, horizon float
 		now = ev.Time
 		events++
 
-		var evalErr error
+		var status error
 		if opts.Independent {
-			_, evalErr = g.ContainTorus(ts.ch.Effective(), core.ExtractOptions{Scratch: ts.sc, Dense: opts.Dense})
+			status = evalErrOnly(g.ContainTorus(ts.ch.Effective(), core.ExtractOptions{Scratch: ts.sc, Dense: opts.Dense}))
 		} else {
+			// The session's note contract — every mutation since the last
+			// successful Eval — must hold at each Eval, so every event
+			// reports its deltas, windowed or not.
 			ts.ses.NoteAdded(ev.EffAdded)
 			ts.ses.NoteCleared(ev.EffCleared)
-			_, evalErr = ts.ses.Eval(ts.ch.Effective())
-		}
-		switch {
-		case evalErr == nil:
-			up = true
-		default:
-			var ue *core.UnhealthyError
-			if !errors.As(evalErr, &ue) {
-				return evalErr
+			if batched {
+				pending++
+				status = g.Tolerates(ts.ch.Effective(), ts.sc)
+			} else {
+				status = evalErrOnly(ts.ses.Eval(ts.ch.Effective()))
 			}
-			if up && !died {
-				died = true
-				deathTime = now
-				deathFaults = ts.ch.Nodes().Count() + ts.ch.Edges().Count()
-			}
-			up = false
 		}
+		upNow, err := evalClass(status)
+		if err != nil {
+			return err
+		}
+		if up && !upNow && !died {
+			died = true
+			deathTime = now
+			deathFaults = ts.ch.Nodes().Count() + ts.ch.Edges().Count()
+		}
+		up = upNow
 		if died && opts.StopAtDeath {
 			break
+		}
+		if batched && pending >= opts.Batch && up {
+			// Window boundary on a tolerated state: one warm incremental
+			// Eval absorbs the whole window's adds and clears, keeps the
+			// session's committed state (and its next diff) bounded, and
+			// cross-checks the probe against the full pipeline. A down
+			// state defers the boundary — the oracle's failed Evals do not
+			// commit either, and the notes keep accumulating.
+			if err := evalErrOnly(ts.ses.Eval(ts.ch.Effective())); err != nil {
+				var ue *core.UnhealthyError
+				if errors.As(err, &ue) {
+					return fterr.New(fterr.Internal, "churn.batch", "placement probe accepted a state the full pipeline rejects: %v", err)
+				}
+				return err
+			}
+			pending = 0
 		}
 	}
 	if up {

@@ -2,8 +2,6 @@ package parallel
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"ftnet/internal/rng"
 	"ftnet/internal/stats"
@@ -39,178 +37,78 @@ type LadderReport struct {
 	Workers int
 }
 
-// ladderShard is one shard's per-rung outcome tallies.
-type ladderShard struct {
-	successes []int
-	trials    []int
-	err       error
-	done      bool
-}
-
 // RunLadder executes trials 0..trials-1, each evaluating all k rungs, and
-// aggregates per-rung outcomes. It extends Run's determinism contract to
-// vectors: shards are dispatched in index order, trial t draws only from
-// its private (rootSeed, t) PCG stream, and each rung's committed prefix
-// is the shortest shard prefix whose 95% Wilson interval is narrower than
-// opts.TargetCI (once opts.MinTrials trials are in) — a pure function of
-// outcomes in shard order, hence bit-identical for every worker count.
-// Rungs that have stopped are advertised to later-dispatched trials via
-// the stopped snapshot, so a coupled sweep trial can skip their pipeline
-// work; outcomes reported for stopped rungs are discarded. The run ends
-// when every rung has stopped or the trial budget is exhausted.
+// aggregates per-rung outcomes. Each rung's committed prefix is the
+// shortest shard prefix whose 95% Wilson interval is narrower than
+// opts.TargetCI (once opts.MinTrials trials are in). Rungs that have
+// stopped are advertised to later-claimed shards via the stopped
+// snapshot, so a coupled sweep trial can skip their pipeline work;
+// outcomes reported for stopped rungs are discarded. The run ends when
+// every rung has stopped or the trial budget is exhausted.
 func RunLadder(trials, k int, rootSeed uint64, opts Options, fn LadderTrial) (LadderReport, error) {
 	if trials <= 0 || k <= 0 {
 		return LadderReport{}, fmt.Errorf("parallel: trials = %d, rungs = %d", trials, k)
 	}
-	shardSize := opts.ShardSize
-	if shardSize <= 0 {
-		shardSize = DefaultShardSize
-		for (trials+shardSize-1)/shardSize > maxAutoShards {
-			shardSize *= 2
-		}
-	}
-	numShards := (trials + shardSize - 1) / shardSize
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > numShards {
-		workers = numShards
-	}
-	minTrials := opts.MinTrials
-	if minTrials <= 0 {
-		minTrials = 4 * shardSize
-	}
-
-	shards := make([]ladderShard, numShards)
-	commit := make([]int, k) // per-rung committed shard count; -1 = run to the end
+	p := newPlan(trials, rootSeed, opts)
+	var (
+		hints   = make([]bool, p.workers*k)          // per worker: the claimed shard's stopped snapshot
+		outs    = make([]stats.Outcome, p.workers*k) // per worker: the running trial's outcomes
+		succ    = make([]int, p.shards*k)            // per shard and rung: successes
+		ran     = make([]int, p.shards*k)            // per shard and rung: evaluated trials
+		sumSucc = make([]int, k)                     // per rung: committed successes
+		sumRan  = make([]int, k)                     // per rung: committed trials
+		commit  = make([]int, k)                     // per rung: committed shard count; -1 = open
+		open    = k
+	)
 	for r := range commit {
 		commit[r] = -1
 	}
-	var (
-		mu           sync.Mutex
-		nextShard    int
-		frontier     int
-		prefixSucc   = make([]int, k)
-		prefixTrials = make([]int, k)
-		open         = k // rungs without a commit decision
-		stopDispatch bool
-		fatal        error
-	)
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var scratch any
-			if opts.NewScratch != nil {
-				scratch = opts.NewScratch()
-			}
-			stopped := make([]bool, k)
-			out := make([]stats.Outcome, k)
-			for {
-				mu.Lock()
-				if stopDispatch || nextShard >= numShards {
-					mu.Unlock()
-					return
-				}
-				s := nextShard
-				nextShard++
-				// Snapshot the per-rung stop state for this shard: purely a
-				// cost hint, never part of the committed result.
-				for r := range stopped {
-					stopped[r] = commit[r] >= 0
-				}
-				mu.Unlock()
-
-				lo := s * shardSize
-				hi := lo + shardSize
-				if hi > trials {
-					hi = trials
-				}
-				st := ladderShard{successes: make([]int, k), trials: make([]int, k)}
-				for t := lo; t < hi; t++ {
-					if err := fn(t, rng.NewPCG(rootSeed, uint64(t)), scratch, stopped, out); err != nil {
-						st.err = fmt.Errorf("trial %d: %w", t, err)
-						break
-					}
-					for r := 0; r < k; r++ {
-						if stopped[r] {
-							continue
-						}
-						st.trials[r]++
-						if out[r] == stats.Success {
-							st.successes[r]++
-						}
-					}
-				}
-				st.done = true
-
-				mu.Lock()
-				shards[s] = st
-				if st.err != nil {
-					stopDispatch = true
-				}
-				for frontier < numShards && shards[frontier].done && open > 0 && fatal == nil {
-					if err := shards[frontier].err; err != nil {
-						// The erroring shard would have contributed to every
-						// still-open rung; abort the run with it.
-						fatal = err
-						stopDispatch = true
-						break
-					}
-					for r := 0; r < k; r++ {
-						if commit[r] >= 0 {
-							continue
-						}
-						prefixSucc[r] += shards[frontier].successes[r]
-						prefixTrials[r] += shards[frontier].trials[r]
-					}
-					frontier++
-					if opts.TargetCI > 0 {
-						for r := 0; r < k; r++ {
-							if commit[r] >= 0 || prefixTrials[r] < minTrials {
-								continue
-							}
-							if stats.NewResult(prefixSucc[r], prefixTrials[r]).Width() <= opts.TargetCI {
-								commit[r] = frontier
-								open--
-							}
-						}
-						if open == 0 {
-							stopDispatch = true
-						}
-					}
-				}
-				mu.Unlock()
-			}
-		}()
+	claim := func(w int) {
+		for r, c := range commit {
+			hints[w*k+r] = c >= 0
+		}
 	}
-	wg.Wait()
-
-	if fatal != nil {
-		return LadderReport{}, fatal
-	}
-	rep := LadderReport{Rungs: make([]RungReport, k), Requested: trials, Workers: workers}
-	for r := 0; r < k; r++ {
-		committed := commit[r]
-		early := committed >= 0 && committed < numShards
-		if committed < 0 {
-			committed = frontier // all error-free done shards, == numShards here
+	trial := func(w, s, t int, stream *rng.PCG, scratch any) error {
+		stopped, out := hints[w*k:(w+1)*k], outs[w*k:(w+1)*k]
+		if err := fn(t, stream, scratch, stopped, out); err != nil {
+			return err
 		}
-		if committed != frontier && !early {
-			return LadderReport{}, fmt.Errorf("parallel: internal: rung %d committed %d of %d shards", r, committed, numShards)
-		}
-		var succ, ran int
-		for s := 0; s < committed; s++ {
-			if !shards[s].done {
-				return LadderReport{}, fmt.Errorf("parallel: internal: shard %d not run", s)
+		for r, o := range out {
+			if !stopped[r] {
+				ran[s*k+r]++
+				if o == stats.Success {
+					succ[s*k+r]++
+				}
 			}
-			succ += shards[s].successes[r]
-			ran += shards[s].trials[r]
 		}
-		rep.Rungs[r] = RungReport{Result: stats.NewResult(succ, ran), Shards: committed, EarlyStopped: early}
+		return nil
+	}
+	fold := func(s int) bool {
+		for r, c := range commit {
+			if c >= 0 {
+				continue
+			}
+			sumSucc[r] += succ[s*k+r]
+			sumRan[r] += ran[s*k+r]
+			if opts.TargetCI > 0 && sumRan[r] >= p.minTrials &&
+				stats.NewResult(sumSucc[r], sumRan[r]).Width() <= opts.TargetCI {
+				commit[r] = s + 1
+				open--
+			}
+		}
+		return open == 0
+	}
+	folded, err := p.schedule(claim, trial, fold)
+	if err != nil {
+		return LadderReport{}, err
+	}
+	rep := LadderReport{Rungs: make([]RungReport, k), Requested: trials, Workers: p.workers}
+	for r, c := range commit {
+		rung := RungReport{Result: stats.NewResult(sumSucc[r], sumRan[r]), Shards: folded}
+		if c >= 0 {
+			rung.Shards, rung.EarlyStopped = c, c < p.shards
+		}
+		rep.Rungs[r] = rung
 	}
 	return rep, nil
 }

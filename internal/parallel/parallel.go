@@ -1,27 +1,39 @@
 // Package parallel is the Monte-Carlo trial engine for the experiment
-// suite: it executes trials across a bounded worker pool and aggregates
-// their outcomes into a stats.Result, with three properties the serial
-// driver it replaces did not have.
+// suite. One private scheduler executes every run; its three entry
+// points differ only in how a finished shard folds into the running
+// totals and when those totals decide the run:
+//
+//   - Run: survival counts, stopping on the 95% Wilson interval width
+//     (a one-rung RunLadder);
+//   - RunLadder: one count per rung of a coupled rate ladder, each rung
+//     stopping on its own Wilson interval;
+//   - RunLifetime: real-valued metric vectors, stopping when every
+//     nonzero-mean component reaches a relative precision.
 //
 // Determinism. The trial space is split into fixed-size shards that are
 // dispatched to workers in index order. Every trial t draws randomness
 // only from its private PCG stream keyed by (root seed, t)
-// (rng.NewPCG), and outcomes are committed shard-by-shard in index
-// order, so the aggregated counts — including the early-stopping
-// decision — are bit-identical for every worker count and GOMAXPROCS
-// setting. TestParallelDeterminism pins this contract.
+// (rng.NewPCG), and shards are folded in index order along a commit
+// frontier, so every reported number — including the early-stopping
+// decision and floating-point rounding — is bit-identical for every
+// worker count and GOMAXPROCS setting. The TestParallelDeterminism*
+// tests pin this contract.
 //
 // Bounded memory. Each worker owns one scratch value created by
 // Options.NewScratch and hands it to every trial it runs, so per-trial
 // allocations (fault bitsets, band/extraction buffers via core.Scratch)
 // are paid once per worker, not once per trial.
 //
-// Early stopping. When Options.TargetCI is set, the engine commits the
-// shortest shard prefix whose 95% Wilson interval is narrower than the
-// target (once MinTrials trials are in). The stopping point is a pure
-// function of outcomes in shard order, so it too is worker-count
-// independent; shards that finished beyond the committed prefix are
-// discarded.
+// Early stopping. When Options.TargetCI is set, the run commits the
+// shortest shard prefix on which its stopping rule holds (once
+// MinTrials trials are in). The stopping point is a pure function of
+// outcomes in shard order, so it too is worker-count independent;
+// shards that finished beyond the committed prefix are discarded.
+//
+// Errors. A failed trial stops dispatch. The run returns the error of
+// the smallest failing trial index the frontier reaches before the
+// stopping rule decides; failures beyond that point are discarded, as a
+// serial run would never have executed those trials.
 package parallel
 
 import (
@@ -97,116 +109,137 @@ type Report struct {
 	EarlyStopped bool
 }
 
-// shardState is one shard's outcome, written once by the worker that
-// ran it and read by the commit scan.
-type shardState struct {
-	successes int
-	trials    int
-	err       error
-	done      bool
+// Run executes trials 0..trials-1 and aggregates their outcomes, as a
+// one-rung RunLadder. See the package comment for the determinism and
+// error contract.
+func Run(trials int, rootSeed uint64, opts Options, fn Trial) (Report, error) {
+	// A single rung is never advertised as stopped: its commit decides
+	// the run, so no shard is claimed after it.
+	rep, err := RunLadder(trials, 1, rootSeed, opts, func(t int, stream *rng.PCG, scratch any, _ []bool, out []stats.Outcome) (err error) {
+		out[0], err = fn(t, stream, scratch)
+		return err
+	})
+	if err != nil {
+		return Report{}, err
+	}
+	rung := rep.Rungs[0]
+	return Report{
+		Result:       rung.Result,
+		Requested:    rep.Requested,
+		Workers:      rep.Workers,
+		Shards:       rung.Shards,
+		EarlyStopped: rung.EarlyStopped,
+	}, nil
 }
 
-// Run executes trials 0..trials-1 and aggregates their outcomes. See
-// the package comment for the determinism contract. The returned error
-// is the recorded trial error with the smallest trial index among
-// committed shards, if any.
-func Run(trials int, rootSeed uint64, opts Options, fn Trial) (Report, error) {
-	if trials <= 0 {
-		return Report{}, fmt.Errorf("parallel: trials = %d", trials)
-	}
-	shardSize := opts.ShardSize
-	if shardSize <= 0 {
-		shardSize = DefaultShardSize
-		for (trials+shardSize-1)/shardSize > maxAutoShards {
-			shardSize *= 2
+// plan is one run's shard geometry and option defaults, fixed before
+// any trial runs.
+type plan struct {
+	seed       uint64
+	trials     int
+	shardSize  int
+	shards     int
+	workers    int
+	minTrials  int
+	newScratch func() any
+}
+
+func newPlan(trials int, seed uint64, opts Options) plan {
+	p := plan{seed: seed, trials: trials, shardSize: opts.ShardSize, workers: opts.Workers,
+		minTrials: opts.MinTrials, newScratch: opts.NewScratch}
+	if p.shardSize <= 0 {
+		p.shardSize = DefaultShardSize
+		for (trials+p.shardSize-1)/p.shardSize > maxAutoShards {
+			p.shardSize *= 2
 		}
 	}
-	numShards := (trials + shardSize - 1) / shardSize
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	p.shards = (trials + p.shardSize - 1) / p.shardSize
+	if p.workers <= 0 {
+		p.workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > numShards {
-		workers = numShards
+	p.workers = min(p.workers, p.shards)
+	if p.minTrials <= 0 {
+		p.minTrials = 4 * p.shardSize
 	}
-	minTrials := opts.MinTrials
-	if minTrials <= 0 {
-		minTrials = 4 * shardSize
-	}
+	return p
+}
 
-	shards := make([]shardState, numShards)
+// shardState is one shard's completion, written once by the worker
+// that ran it and read by the commit frontier.
+type shardState struct {
+	done bool
+	err  error
+}
+
+// schedule runs the plan's shards on p.workers goroutines, each with
+// one NewScratch value, and folds them in index order.
+//
+//   - claim, if set, runs under the lock when worker w claims a shard,
+//     before its trials start.
+//   - trial runs trial t of shard s on worker w. It records the outcome
+//     in per-run storage owned by shard s, which fold may read once the
+//     shard is done.
+//   - fold runs under the lock for each error-free shard in index order
+//     and reports whether the run is decided; nothing is dispatched or
+//     folded after that.
+//
+// It returns the folded shard count and the error of the first failed
+// shard the frontier reached undecided. A failure stops dispatch at
+// once; every earlier shard was already claimed, so the frontier still
+// reaches the failure or a decision before it.
+func (p plan) schedule(claim func(w int), trial func(w, s, t int, stream *rng.PCG, scratch any) error, fold func(s int) bool) (int, error) {
+	shards := make([]shardState, p.shards)
 	var (
-		mu           sync.Mutex
-		nextShard    int  // next shard index to dispatch
-		frontier     int  // first shard not yet committed
-		prefixSucc   int  // successes over shards[0:frontier]
-		prefixTrials int  // trials over shards[0:frontier]
-		commit       = -1 // committed shard count; -1 = run to the end
-		stopDispatch bool
+		mu       sync.Mutex
+		wg       sync.WaitGroup
+		next     int  // next shard to dispatch
+		frontier int  // first shard not yet folded
+		stop     bool // no further dispatch
+		decided  bool // no further folding
+		fatal    error
 	)
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < p.workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var scratch any
-			if opts.NewScratch != nil {
-				scratch = opts.NewScratch()
+			if p.newScratch != nil {
+				scratch = p.newScratch()
 			}
 			for {
 				mu.Lock()
-				if stopDispatch || nextShard >= numShards {
+				if stop || next >= p.shards {
 					mu.Unlock()
 					return
 				}
-				s := nextShard
-				nextShard++
+				s := next
+				next++
+				if claim != nil {
+					claim(w)
+				}
 				mu.Unlock()
 
-				lo := s * shardSize
-				hi := lo + shardSize
-				if hi > trials {
-					hi = trials
-				}
-				var st shardState
-				for t := lo; t < hi; t++ {
-					out, err := fn(t, rng.NewPCG(rootSeed, uint64(t)), scratch)
-					if err != nil {
-						st.err = fmt.Errorf("trial %d: %w", t, err)
+				var err error
+				for t, hi := s*p.shardSize, min((s+1)*p.shardSize, p.trials); t < hi; t++ {
+					if err = trial(w, s, t, rng.NewPCG(p.seed, uint64(t)), scratch); err != nil {
+						err = fmt.Errorf("trial %d: %w", t, err)
 						break
 					}
-					st.trials++
-					if out == stats.Success {
-						st.successes++
-					}
 				}
-				st.done = true
 
 				mu.Lock()
-				shards[s] = st
-				if st.err != nil {
-					stopDispatch = true
+				shards[s] = shardState{done: true, err: err}
+				if err != nil {
+					stop = true
 				}
-				// Advance the commit frontier over the contiguous done
-				// prefix, checking the stopping rule after every shard so
-				// the committed prefix is the shortest qualifying one.
-				for frontier < numShards && shards[frontier].done && commit < 0 {
-					if shards[frontier].err != nil {
-						// The erroring shard is committed (so the error is
-						// reported) and nothing after it is.
-						frontier++
-						commit = frontier
-						stopDispatch = true
+				for !decided && frontier < p.shards && shards[frontier].done {
+					if fatal = shards[frontier].err; fatal != nil {
+						decided, stop = true, true
 						break
 					}
-					prefixSucc += shards[frontier].successes
-					prefixTrials += shards[frontier].trials
 					frontier++
-					if opts.TargetCI > 0 && prefixTrials >= minTrials &&
-						stats.NewResult(prefixSucc, prefixTrials).Width() <= opts.TargetCI {
-						commit = frontier
-						stopDispatch = true
+					if fold(frontier - 1) {
+						decided, stop = true, true
 					}
 				}
 				mu.Unlock()
@@ -214,29 +247,5 @@ func Run(trials int, rootSeed uint64, opts Options, fn Trial) (Report, error) {
 		}()
 	}
 	wg.Wait()
-
-	committed := commit
-	if committed < 0 {
-		committed = numShards
-	}
-	var successes, ran int
-	for s := 0; s < committed; s++ {
-		if err := shards[s].err; err != nil {
-			return Report{}, err
-		}
-		if !shards[s].done {
-			// Only reachable if dispatch stopped early without a commit
-			// decision, which the accounting above rules out.
-			return Report{}, fmt.Errorf("parallel: internal: shard %d not run", s)
-		}
-		successes += shards[s].successes
-		ran += shards[s].trials
-	}
-	return Report{
-		Result:       stats.NewResult(successes, ran),
-		Requested:    trials,
-		Workers:      workers,
-		Shards:       committed,
-		EarlyStopped: commit >= 0 && committed < numShards,
-	}, nil
+	return frontier, fatal
 }

@@ -77,7 +77,6 @@ func (ps *Probes) engineOpts() parallel.Options {
 		Workers:    ps.cfg.Workers,
 		ShardSize:  ps.cfg.ShardSize,
 		TargetCI:   ps.cfg.TargetCI,
-		MinTrials:  ps.cfg.MinTrials,
 		NewScratch: func() any { return core.NewScratch(1) },
 	}
 }
