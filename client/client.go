@@ -365,16 +365,21 @@ func (c *Client) Info(ctx context.Context) (Info, error) {
 	return info, err
 }
 
+// mutationRequest is the body of every mutation route. The fields are
+// pointers so a body carries exactly its route's key, even for an empty
+// batch ({"nodes":null}, never {}).
 type mutationRequest struct {
-	Nodes []int `json:"nodes"`
+	Nodes *[]int    `json:"nodes,omitempty"`
+	Edges *[][2]int `json:"edges,omitempty"`
 }
 
-// mutate posts a fault batch. Mutations are idempotent (the daemon
-// folds node sets), so retrying a batch whose response was lost is
-// safe: re-adding a faulty node is a no-op.
-func (c *Client) mutate(ctx context.Context, method string, nodes []int) (State, error) {
+// mutate sends a fault batch (or, with a nil body, a flush) to a route
+// answering with the committed state. Mutations are idempotent (the
+// daemon folds node and edge sets), so retrying a batch whose response
+// was lost is safe: re-reporting a faulty node or edge is a no-op.
+func (c *Client) mutate(ctx context.Context, method, route string, body any) (State, error) {
 	var st State
-	err := c.jsonOp(ctx, method, c.topoURL("/faults"), mutationRequest{Nodes: nodes}, &st)
+	err := c.jsonOp(ctx, method, c.topoURL(route), body, &st)
 	if err == nil {
 		c.noteGeneration(st.Generation)
 	}
@@ -385,27 +390,12 @@ func (c *Client) mutate(ctx context.Context, method string, nodes []int) (State,
 // covering them. A CodeNotTolerated error means the daemon recorded
 // the faults but keeps serving the last good generation.
 func (c *Client) AddFaults(ctx context.Context, nodes ...int) (State, error) {
-	return c.mutate(ctx, "POST", nodes)
+	return c.mutate(ctx, "POST", "/faults", mutationRequest{Nodes: &nodes})
 }
 
 // ClearFaults reports repaired host nodes.
 func (c *Client) ClearFaults(ctx context.Context, nodes ...int) (State, error) {
-	return c.mutate(ctx, "DELETE", nodes)
-}
-
-type edgeMutationRequest struct {
-	Edges [][2]int `json:"edges"`
-}
-
-// mutateEdges posts an edge-fault batch. Idempotent like mutate: the
-// daemon folds edge sets, so re-reporting a faulty edge is a no-op.
-func (c *Client) mutateEdges(ctx context.Context, method string, edges [][2]int) (State, error) {
-	var st State
-	err := c.jsonOp(ctx, method, c.topoURL("/edge-faults"), edgeMutationRequest{Edges: edges}, &st)
-	if err == nil {
-		c.noteGeneration(st.Generation)
-	}
-	return st, err
+	return c.mutate(ctx, "DELETE", "/faults", mutationRequest{Nodes: &nodes})
 }
 
 // AddEdgeFaults reports failed host links as {u, v} endpoint pairs
@@ -414,22 +404,17 @@ func (c *Client) mutateEdges(ctx context.Context, method string, edges [][2]int)
 // adjacency — with all-or-nothing semantics: one bad edge rejects the
 // request with CodeInvalid and none of it is applied.
 func (c *Client) AddEdgeFaults(ctx context.Context, edges ...[2]int) (State, error) {
-	return c.mutateEdges(ctx, "POST", edges)
+	return c.mutate(ctx, "POST", "/edge-faults", mutationRequest{Edges: &edges})
 }
 
 // ClearEdgeFaults reports repaired host links.
 func (c *Client) ClearEdgeFaults(ctx context.Context, edges ...[2]int) (State, error) {
-	return c.mutateEdges(ctx, "DELETE", edges)
+	return c.mutate(ctx, "DELETE", "/edge-faults", mutationRequest{Edges: &edges})
 }
 
 // Reembed flushes pending asynchronous mutations and evaluates now.
 func (c *Client) Reembed(ctx context.Context) (State, error) {
-	var st State
-	err := c.jsonOp(ctx, "POST", c.topoURL("/reembed"), nil, &st)
-	if err == nil {
-		c.noteGeneration(st.Generation)
-	}
-	return st, err
+	return c.mutate(ctx, "POST", "/reembed", nil)
 }
 
 // Snapshot asks the daemon to persist its session state to disk.

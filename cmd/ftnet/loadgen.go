@@ -798,9 +798,10 @@ func (c *edgeChurnDriver) run(ctx context.Context) {
 			}
 			continue
 		}
-		// Draw distinct pool edges not already faulty: a duplicate inside
-		// one batch would be rejected as invalid, and re-adding an
-		// outstanding edge would make the later repair double-clear it.
+		// Draw distinct pool edges not already faulty. The daemon accepts
+		// a duplicate inside one batch (the second report is a no-op),
+		// but the batch's repair would then clear that edge twice, as
+		// would re-adding an edge an earlier batch still holds.
 		batch := make([][2]int, 0, c.batch)
 		for attempts := 0; len(batch) < c.batch && attempts < 4*c.batch; attempts++ {
 			e := c.pool[c.rng.Intn(len(c.pool))]

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"ftnet/internal/wire"
 )
@@ -97,6 +99,22 @@ func TestServeFlagValidation(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("serve %v: error %q does not name %s", tc.args, err, tc.want)
 		}
+	}
+}
+
+// TestServeTimeouts pins the daemon's connection timeouts: headers must
+// arrive within 10s and idle keep-alive connections close after 2m,
+// while writes stay unbounded so /watch streams can live indefinitely.
+func TestServeTimeouts(t *testing.T) {
+	srv := newHTTPServer("127.0.0.1:0", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != 10*time.Second {
+		t.Errorf("ReadHeaderTimeout = %v, want 10s", srv.ReadHeaderTimeout)
+	}
+	if srv.IdleTimeout != 2*time.Minute {
+		t.Errorf("IdleTimeout = %v, want 2m", srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want 0 (watch streams are long-lived)", srv.WriteTimeout)
 	}
 }
 

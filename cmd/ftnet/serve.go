@@ -70,7 +70,7 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Addr: *listen, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*listen, srv.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -105,6 +105,27 @@ func runServe(args []string) error {
 	// Workers flush applied mutations and, with -snapshot-dir set, the
 	// final committed state is persisted for the next start.
 	return srv.Close()
+}
+
+// Connection timeouts of the daemon's HTTP server. A client that opens
+// a connection and never finishes its headers, or leaves a keep-alive
+// connection idle, is cut off instead of holding a goroutine and a file
+// descriptor forever. There is deliberately no write timeout: /watch
+// SSE streams stay open indefinitely.
+const (
+	serveReadHeaderTimeout = 10 * time.Second
+	serveIdleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is ftnetd's http.Server: the handler behind the
+// connection timeouts above.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		IdleTimeout:       serveIdleTimeout,
+	}
 }
 
 // topoSpecs collects repeated -topology flags.

@@ -51,8 +51,13 @@ func (f *Faults) AddChecked(v int) error {
 
 // Add marks host node v faulty. It panics on an out-of-range index; use
 // AddChecked when the index comes from untrusted input.
-func (f *Faults) Add(v int) {
-	if err := f.AddChecked(v); err != nil {
+func (f *Faults) Add(v int) { must(f.AddChecked(v)) }
+
+// must panics on err, for the unchecked mutation variants (Faults.Add,
+// Session.AddFaults, Session.ClearFaults) whose callers vouch that
+// their indices are in range.
+func must(err error) {
+	if err != nil {
 		panic(err)
 	}
 }
@@ -266,60 +271,22 @@ func (t *RandomFaultTorus) NewSession() *Session {
 // any index is out of range: either every node is applied or none is, so
 // a malformed wire request cannot leave the session half-mutated.
 // Already-faulty nodes are ignored.
-func (s *Session) AddFaultsChecked(nodes ...int) error {
-	n := s.t.g.NumNodes()
-	for _, v := range nodes {
-		if err := checkNode(v, n); err != nil {
-			return err
-		}
-	}
-	s.delta = s.delta[:0]
-	for _, v := range nodes {
-		if _, eff := s.charger.AddNode(v); eff >= 0 {
-			s.delta = append(s.delta, eff)
-		}
-	}
-	s.ses.NoteAdded(s.delta)
-	return nil
-}
+func (s *Session) AddFaultsChecked(nodes ...int) error { return s.mutate(false, nodes, nil) }
 
 // AddFaults marks host nodes faulty. Already-faulty nodes are ignored.
 // It panics on an out-of-range index; use AddFaultsChecked when the
 // indices come from untrusted input.
-func (s *Session) AddFaults(nodes ...int) {
-	if err := s.AddFaultsChecked(nodes...); err != nil {
-		panic(err)
-	}
-}
+func (s *Session) AddFaults(nodes ...int) { must(s.mutate(false, nodes, nil)) }
 
 // ClearFaultsChecked marks host nodes repaired, rejecting the whole
 // batch if any index is out of range (all-or-nothing, like
 // AddFaultsChecked). Already-healthy nodes are ignored.
-func (s *Session) ClearFaultsChecked(nodes ...int) error {
-	n := s.t.g.NumNodes()
-	for _, v := range nodes {
-		if err := checkNode(v, n); err != nil {
-			return err
-		}
-	}
-	s.delta = s.delta[:0]
-	for _, v := range nodes {
-		if _, eff := s.charger.ClearNode(v); eff >= 0 {
-			s.delta = append(s.delta, eff)
-		}
-	}
-	s.ses.NoteCleared(s.delta)
-	return nil
-}
+func (s *Session) ClearFaultsChecked(nodes ...int) error { return s.mutate(true, nodes, nil) }
 
 // ClearFaults marks host nodes repaired. Already-healthy nodes are
 // ignored. It panics on an out-of-range index; use ClearFaultsChecked
 // when the indices come from untrusted input.
-func (s *Session) ClearFaults(nodes ...int) {
-	if err := s.ClearFaultsChecked(nodes...); err != nil {
-		panic(err)
-	}
-}
+func (s *Session) ClearFaults(nodes ...int) { must(s.mutate(true, nodes, nil)) }
 
 // AddEdgeFaultsChecked marks host edges faulty, each given as a {u, v}
 // endpoint pair in either order. The whole batch is rejected — nothing
@@ -327,47 +294,51 @@ func (s *Session) ClearFaults(nodes ...int) {
 // the host (all-or-nothing, like AddFaultsChecked). Already-faulty
 // edges are ignored. Each new faulty edge is charged to its canonical
 // endpoint; the next Reembed routes around it.
-func (s *Session) AddEdgeFaultsChecked(edges ...[2]int) error {
-	if err := s.checkEdges(edges); err != nil {
-		return err
-	}
-	s.delta = s.delta[:0]
-	for _, e := range edges {
-		if _, eff := s.charger.AddEdge(e[0], e[1]); eff >= 0 {
-			s.delta = append(s.delta, eff)
-		}
-	}
-	s.ses.NoteAdded(s.delta)
-	return nil
-}
+func (s *Session) AddEdgeFaultsChecked(edges ...[2]int) error { return s.mutate(false, nil, edges) }
 
 // ClearEdgeFaultsChecked marks host edges repaired (all-or-nothing,
 // validated like AddEdgeFaultsChecked). Already-healthy edges are
 // ignored. An endpoint stays effectively faulty while other faulty
 // edges still charge it or the node itself was reported faulty.
-func (s *Session) ClearEdgeFaultsChecked(edges ...[2]int) error {
-	if err := s.checkEdges(edges); err != nil {
-		return err
-	}
-	s.delta = s.delta[:0]
-	for _, e := range edges {
-		if _, eff := s.charger.ClearEdge(e[0], e[1]); eff >= 0 {
-			s.delta = append(s.delta, eff)
+func (s *Session) ClearEdgeFaultsChecked(edges ...[2]int) error { return s.mutate(true, nil, edges) }
+
+// mutate is the one mutation path: it validates the whole batch —
+// every node in range; every edge in range, not a self-loop and a host
+// edge, each failure a terminal CodeInvalid error — before touching
+// anything, then applies it to the charger and notes the changed
+// effective indices with the engine. Edge faults are just node charges
+// here (Theorem 2), so a batch may mix nodes and edges freely.
+func (s *Session) mutate(clear bool, nodes []int, edges [][2]int) error {
+	n := s.t.g.NumNodes()
+	for _, v := range nodes {
+		if err := checkNode(v, n); err != nil {
+			return err
 		}
 	}
-	s.ses.NoteCleared(s.delta)
-	return nil
-}
-
-// checkEdges validates a batch of edge endpoint pairs without mutating
-// anything: every endpoint in range, no self-loops, every pair adjacent
-// in the host. Each failure is a terminal CodeInvalid error.
-func (s *Session) checkEdges(edges [][2]int) error {
-	n := s.t.g.NumNodes()
 	for _, e := range edges {
 		if err := validate.Edge("edge fault", e[0], e[1], n, s.t.g.Adjacent); err != nil {
 			return err
 		}
+	}
+	nodeOp, edgeOp := s.charger.AddNode, s.charger.AddEdge
+	if clear {
+		nodeOp, edgeOp = s.charger.ClearNode, s.charger.ClearEdge
+	}
+	s.delta = s.delta[:0]
+	for _, v := range nodes {
+		if _, eff := nodeOp(v); eff >= 0 {
+			s.delta = append(s.delta, eff)
+		}
+	}
+	for _, e := range edges {
+		if _, eff := edgeOp(e[0], e[1]); eff >= 0 {
+			s.delta = append(s.delta, eff)
+		}
+	}
+	if clear {
+		s.ses.NoteCleared(s.delta)
+	} else {
+		s.ses.NoteAdded(s.delta)
 	}
 	return nil
 }

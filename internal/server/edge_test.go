@@ -33,7 +33,7 @@ func TestServeEdgeFaults(t *testing.T) {
 
 	// A synchronous edge-fault report returns the covering evaluation.
 	var st stateResponse
-	code, _ := doJSON(t, "POST", ts.URL+"/v1/topologies/main/edge-faults", edgeMutationRequest{Edges: edges}, &st)
+	code, _ := doJSON(t, "POST", ts.URL+"/v1/topologies/main/edge-faults", mutationRequest{Edges: edges}, &st)
 	if code != 200 {
 		t.Fatalf("POST edge-faults: %d %+v", code, st)
 	}
@@ -87,7 +87,7 @@ func TestServeEdgeFaults(t *testing.T) {
 		{edges[0][0], edges[0][1]}, // valid, but must not slip through
 		{7, 7},                     // self-loop
 	}
-	code, body := doJSON(t, "POST", ts.URL+"/v1/topologies/main/edge-faults", edgeMutationRequest{Edges: bad}, nil)
+	code, body := doJSON(t, "POST", ts.URL+"/v1/topologies/main/edge-faults", mutationRequest{Edges: bad}, nil)
 	if code != 400 {
 		t.Fatalf("self-loop batch: %d %s", code, body)
 	}
@@ -100,7 +100,7 @@ func TestServeEdgeFaults(t *testing.T) {
 		{"non-adjacent", [][2]int{nonAdjacentPair(t, topo)}},
 		{"empty batch", nil},
 	} {
-		code, body := doJSON(t, "POST", ts.URL+"/v1/topologies/main/edge-faults", edgeMutationRequest{Edges: tc.edges}, nil)
+		code, body := doJSON(t, "POST", ts.URL+"/v1/topologies/main/edge-faults", mutationRequest{Edges: tc.edges}, nil)
 		if code != 400 {
 			t.Fatalf("%s: %d %s", tc.name, code, body)
 		}
@@ -113,7 +113,7 @@ func TestServeEdgeFaults(t *testing.T) {
 
 	// Repair: DELETE clears, and the embedding heals back to the
 	// fault-free default.
-	code, _ = doJSON(t, "DELETE", ts.URL+"/v1/topologies/main/edge-faults", edgeMutationRequest{Edges: edges}, &st)
+	code, _ = doJSON(t, "DELETE", ts.URL+"/v1/topologies/main/edge-faults", mutationRequest{Edges: edges}, &st)
 	if code != 200 || st.EdgeFaultCount != 0 {
 		t.Fatalf("DELETE edge-faults: %d %+v", code, st)
 	}
@@ -164,7 +164,7 @@ func TestServeEdgeSnapshotRestore(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("POST faults: %d", code)
 	}
-	code, _ = doJSON(t, "POST", ts1.URL+"/v1/topologies/main/edge-faults", edgeMutationRequest{Edges: edges}, &st)
+	code, _ = doJSON(t, "POST", ts1.URL+"/v1/topologies/main/edge-faults", mutationRequest{Edges: edges}, &st)
 	if code != 200 || st.EdgeFaultCount != 2 || st.FaultCount != 2 {
 		t.Fatalf("POST edge-faults: %d %+v", code, st)
 	}
@@ -227,14 +227,14 @@ func TestServeEdgeSnapshotUncommittedClear(t *testing.T) {
 	if code, _ := doJSON(t, "POST", ts1.URL+"/v1/topologies/main/faults", mutationRequest{Nodes: []int{17}}, &st); code != 200 {
 		t.Fatalf("add: %d", code)
 	}
-	if code, _ := doJSON(t, "POST", ts1.URL+"/v1/topologies/main/edge-faults", edgeMutationRequest{Edges: edges}, &st); code != 200 {
+	if code, _ := doJSON(t, "POST", ts1.URL+"/v1/topologies/main/edge-faults", mutationRequest{Edges: edges}, &st); code != 200 {
 		t.Fatalf("edge add: %d", code)
 	}
 	// Clear both asynchronously: recorded in the session, never evaluated.
 	if code, _ := doJSON(t, "DELETE", ts1.URL+"/v1/topologies/main/faults?wait=0", mutationRequest{Nodes: []int{17}}, nil); code != 202 {
 		t.Fatal("async clear not accepted")
 	}
-	if code, _ := doJSON(t, "DELETE", ts1.URL+"/v1/topologies/main/edge-faults?wait=0", edgeMutationRequest{Edges: edges}, nil); code != 202 {
+	if code, _ := doJSON(t, "DELETE", ts1.URL+"/v1/topologies/main/edge-faults?wait=0", mutationRequest{Edges: edges}, nil); code != 202 {
 		t.Fatal("async edge clear not accepted")
 	}
 	waitFor(t, "pending clears applied", func() bool {

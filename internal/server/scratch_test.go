@@ -16,7 +16,7 @@ func TestScratchExtractEdgeFaults(t *testing.T) {
 	edges := hostEdges(t, topo, 6)
 	for i := 1; i <= len(edges); i++ {
 		var st stateResponse
-		if code, body := doJSON(t, "POST", ts.URL+"/v1/topologies/main/edge-faults", edgeMutationRequest{Edges: edges[i-1 : i]}, &st); code != 200 {
+		if code, body := doJSON(t, "POST", ts.URL+"/v1/topologies/main/edge-faults", mutationRequest{Edges: edges[i-1 : i]}, &st); code != 200 {
 			t.Fatalf("POST edge fault %d: %d %s", i, code, body)
 		}
 		var emb embeddingResponse

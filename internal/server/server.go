@@ -176,10 +176,10 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/topologies", s.handleList)
 	s.mux.HandleFunc("GET /v1/topologies/{id}", s.handleInfo)
-	s.mux.HandleFunc("POST /v1/topologies/{id}/faults", s.mutationHandler(reqAdd))
-	s.mux.HandleFunc("DELETE /v1/topologies/{id}/faults", s.mutationHandler(reqClear))
-	s.mux.HandleFunc("POST /v1/topologies/{id}/edge-faults", s.edgeMutationHandler(reqAddEdges))
-	s.mux.HandleFunc("DELETE /v1/topologies/{id}/edge-faults", s.edgeMutationHandler(reqClearEdges))
+	s.mux.HandleFunc("POST /v1/topologies/{id}/faults", s.mutationHandler(false, false))
+	s.mux.HandleFunc("DELETE /v1/topologies/{id}/faults", s.mutationHandler(true, false))
+	s.mux.HandleFunc("POST /v1/topologies/{id}/edge-faults", s.mutationHandler(false, true))
+	s.mux.HandleFunc("DELETE /v1/topologies/{id}/edge-faults", s.mutationHandler(true, true))
 	s.mux.HandleFunc("POST /v1/topologies/{id}/reembed", s.handleReembed)
 	s.mux.HandleFunc("GET /v1/topologies/{id}/embedding", s.handleEmbedding)
 	s.mux.HandleFunc("GET /v1/topologies/{id}/watch", s.handleWatch)
@@ -274,12 +274,11 @@ func RenderEmbeddingJSON(w io.Writer, s *wire.Snapshot) error {
 	})
 }
 
+// mutationRequest is the body of all four mutation routes; each route
+// reads only its own field (.../faults nodes, .../edge-faults edges).
 type mutationRequest struct {
-	Nodes []int `json:"nodes"`
-}
-
-type edgeMutationRequest struct {
-	Edges [][2]int `json:"edges"`
+	Nodes []int    `json:"nodes,omitempty"`
+	Edges [][2]int `json:"edges,omitempty"`
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -404,112 +403,80 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 }
 
 // mutationHandler serves POST (report faults) and DELETE (report
-// repairs) on .../faults. Indices are validated here, at the API
-// boundary, against the immutable host size — the writer goroutine never
-// sees an out-of-range index.
-func (s *Server) mutationHandler(kind reqKind) http.HandlerFunc {
+// repairs) on .../faults, or on .../edge-faults when edges is set. The
+// whole batch is validated here, at the API boundary, against the
+// immutable host — node range, or edge endpoint range, self-loops and
+// host adjacency — with all-or-nothing semantics: one bad entry rejects
+// the request before the writer sees any of it, so a partially applied
+// batch cannot exist.
+func (s *Server) mutationHandler(clear, edges bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		t := s.topo(w, r)
 		if t == nil {
 			return
 		}
-		var req mutationRequest
+		var body mutationRequest
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-		if err := dec.Decode(&req); err != nil {
+		if err := dec.Decode(&body); err != nil {
 			s.writeErr(w, fterr.Wrapf(fterr.Invalid, "server", err, "bad request body"))
 			return
 		}
-		if len(req.Nodes) == 0 {
-			s.writeErr(w, fterr.New(fterr.Invalid, "server", "no nodes in request"))
+		mut, err := t.parseMutation(body, clear, edges)
+		if err != nil {
+			s.writeErr(w, err)
 			return
-		}
-		n := t.host.HostNodes()
-		for _, v := range req.Nodes {
-			if v < 0 || v >= n {
-				s.writeErr(w, fterr.New(fterr.Invalid, "server", "host node %d out of range [0, %d)", v, n))
-				return
-			}
 		}
 		wait := true
 		if raw := r.URL.Query().Get("wait"); raw != "" {
-			var err error
 			if wait, err = strconv.ParseBool(raw); err != nil {
 				s.writeErr(w, fterr.New(fterr.Invalid, "server", "bad wait parameter %q (want a boolean)", raw))
 				return
 			}
 		}
-		mut := request{kind: kind, nodes: req.Nodes}
+		req := request{mut: mut}
 		if wait {
-			mut.reply = make(chan result, 1)
+			req.reply = make(chan result, 1)
 		}
-		if err := t.submit(mut); err != nil {
+		if err := t.submit(req); err != nil {
 			s.writeErr(w, err)
 			return
 		}
 		if !wait {
 			writeJSON(w, http.StatusAccepted, acceptedResponse{
-				Topology: t.cfg.ID, Status: "accepted", Nodes: len(req.Nodes),
+				Topology: t.cfg.ID, Status: "accepted", Nodes: len(mut.nodes), Edges: len(mut.edges),
 			})
 			return
 		}
-		s.replyState(w, r, t, mut.reply)
+		s.replyState(w, r, t, req.reply)
 	}
 }
 
-// edgeMutationHandler serves POST (report edge faults) and DELETE
-// (report repairs) on .../edge-faults. The whole batch is validated at
-// the API boundary — endpoint range, self-loops, host adjacency — with
-// all-or-nothing semantics: one bad edge rejects the request before the
-// writer sees any of it, so a partially applied batch cannot exist.
-func (s *Server) edgeMutationHandler(kind reqKind) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		t := s.topo(w, r)
-		if t == nil {
-			return
+// parseMutation takes the route's field from a request body — nodes, or
+// edges when edges is set; the other field is ignored — and validates
+// it as a non-empty, all-in-range batch. Validation reads only the
+// immutable host graph, so it is safe off the writer goroutine.
+func (t *topology) parseMutation(body mutationRequest, clear, edges bool) (mutation, error) {
+	n := t.host.HostNodes()
+	if edges {
+		if len(body.Edges) == 0 {
+			return mutation{}, fterr.New(fterr.Invalid, "server", "no edges in request")
 		}
-		var req edgeMutationRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-		if err := dec.Decode(&req); err != nil {
-			s.writeErr(w, fterr.Wrapf(fterr.Invalid, "server", err, "bad request body"))
-			return
-		}
-		if len(req.Edges) == 0 {
-			s.writeErr(w, fterr.New(fterr.Invalid, "server", "no edges in request"))
-			return
-		}
-		n := t.host.HostNodes()
-		for _, e := range req.Edges {
-			// t.ses.Adjacent only reads the immutable host graph, so the
-			// check is safe off the writer goroutine.
+		for _, e := range body.Edges {
 			if err := validate.Edge("edge fault", e[0], e[1], n, t.ses.Adjacent); err != nil {
-				s.writeErr(w, err)
-				return
+				return mutation{}, err
 			}
 		}
-		wait := true
-		if raw := r.URL.Query().Get("wait"); raw != "" {
-			var err error
-			if wait, err = strconv.ParseBool(raw); err != nil {
-				s.writeErr(w, fterr.New(fterr.Invalid, "server", "bad wait parameter %q (want a boolean)", raw))
-				return
-			}
-		}
-		mut := request{kind: kind, edges: req.Edges}
-		if wait {
-			mut.reply = make(chan result, 1)
-		}
-		if err := t.submit(mut); err != nil {
-			s.writeErr(w, err)
-			return
-		}
-		if !wait {
-			writeJSON(w, http.StatusAccepted, acceptedResponse{
-				Topology: t.cfg.ID, Status: "accepted", Edges: len(req.Edges),
-			})
-			return
-		}
-		s.replyState(w, r, t, mut.reply)
+		return mutation{clear: clear, edges: body.Edges}, nil
 	}
+	if len(body.Nodes) == 0 {
+		return mutation{}, fterr.New(fterr.Invalid, "server", "no nodes in request")
+	}
+	for _, v := range body.Nodes {
+		if v < 0 || v >= n {
+			return mutation{}, fterr.New(fterr.Invalid, "server", "host node %d out of range [0, %d)", v, n)
+		}
+	}
+	return mutation{clear: clear, nodes: body.Nodes}, nil
 }
 
 func (s *Server) handleReembed(w http.ResponseWriter, r *http.Request) {
@@ -517,12 +484,12 @@ func (s *Server) handleReembed(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
-	mut := request{kind: reqFlush, reply: make(chan result, 1)}
-	if err := t.submit(mut); err != nil {
+	req := request{flush: true, reply: make(chan result, 1)}
+	if err := t.submit(req); err != nil {
 		s.writeErr(w, err)
 		return
 	}
-	s.replyState(w, r, t, mut.reply)
+	s.replyState(w, r, t, req.reply)
 }
 
 // replyState waits for the writer's outcome and renders it. A fault

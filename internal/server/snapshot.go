@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 
 	"ftnet/internal/fterr"
@@ -77,8 +78,9 @@ func snapshotPath(dir, id string) string {
 	return filepath.Join(dir, id+".json")
 }
 
-// writeSnapshot persists a committed Snapshot atomically (temp file +
-// rename), so a crash mid-write never corrupts the previous snapshot.
+// writeSnapshot persists a committed Snapshot atomically and durably
+// (temp file, fsync, rename, fsync of the directory), so neither a crash
+// nor a power loss mid-write corrupts the previous snapshot.
 // session and sessionEdges are the full session fault sets (see
 // diskSnapshot.SessionFaults); each is recorded only when it differs
 // from its committed set.
@@ -94,13 +96,13 @@ func writeSnapshot(dir string, t *topology, snap *Snapshot, session []int, sessi
 		Edges:             snap.FaultEdges,
 		EmbeddingChecksum: fmt.Sprintf("%016x", snap.Checksum),
 	}
-	if !intsEqual(session, snap.FaultNodes) {
+	if !slices.Equal(session, snap.FaultNodes) {
 		d.SessionFaults = session
 		if d.SessionFaults == nil {
 			d.SessionFaults = []int{} // nil means "same as Faults"
 		}
 	}
-	if !edgesEqual(sessionEdges, snap.FaultEdges) {
+	if !slices.Equal(sessionEdges, snap.FaultEdges) {
 		d.SessionEdges = sessionEdges
 		if d.SessionEdges == nil {
 			d.SessionEdges = [][2]int{} // nil means "same as Edges"
@@ -118,44 +120,33 @@ func writeSnapshot(dir string, t *topology, snap *Snapshot, session []int, sessi
 	if err != nil {
 		return "", err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	// Sync before the rename: otherwise a power loss can leave the new
+	// name pointing at an empty or torn file, which the next start
+	// refuses to serve as corrupt.
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return "", err
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
+	// Sync the directory too, so the rename itself is durable.
+	df, err := os.Open(dir)
+	if err != nil {
 		return "", err
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return "", err
+	err = df.Sync()
+	if cerr := df.Close(); err == nil {
+		err = cerr
 	}
-	return path, nil
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func edgesEqual(a, b [][2]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return path, err
 }
 
 // loadSnapshot reads a topology's snapshot file; a missing file is not

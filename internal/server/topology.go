@@ -2,6 +2,13 @@
 // ftnet.Session per configured topology behind an HTTP/JSON wire
 // protocol (see routes in server.go).
 //
+// Node and edge fault reports are one mutation value all the way: one
+// handler serves the four mutation routes, the queue carries one
+// request type, and one writer step (topology.record) applies a
+// mutation to the session and the pending batch. Restore replays a
+// snapshot's uncommitted tail through that same step, as one add and
+// one clear mutation.
+//
 // The ftnet.Session contract is single-writer, so each topology owns one
 // writer goroutine and a serialization queue. The queue coalesces: every
 // mutation that arrives while a Reembed is in flight is applied to the
@@ -14,12 +21,15 @@
 // explicit POST .../reembed arrives, or a synchronous request joins the
 // batch. Readers never enter the queue: GET .../embedding is served from
 // an atomically swapped snapshot of the last committed embedding, so
-// reads never block on the writer.
+// reads never block on the writer. Snapshot files are fsynced, and so is
+// their directory, before a snapshot is acknowledged.
 package server
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,22 +85,38 @@ func MapChecksum(m []int) uint64 { return wire.Checksum(m) }
 // one after a restart, can serve the retry).
 var errShutdown error = &fterr.E{Code: fterr.Unavailable, Op: "server", Msg: "shutting down"}
 
-type reqKind uint8
-
-const (
-	reqAdd reqKind = iota
-	reqClear
-	reqAddEdges
-	reqClearEdges
-	reqFlush
-)
-
-// request is one unit of writer work. reply is buffered (capacity 1) so
-// the writer never blocks on an abandoned waiter.
-type request struct {
-	kind  reqKind
+// mutation is one batch of fault reports: node faults and edge faults
+// alike, all added or all cleared. Edge faults are node charges to the
+// session (Theorem 2's reduction), so both kinds travel as one value
+// from the HTTP handler through the writer queue — and through restore,
+// which replays a snapshot's uncommitted tail as two mutations.
+type mutation struct {
+	clear bool
 	nodes []int
-	edges [][2]int    // for reqAddEdges/reqClearEdges
+	edges [][2]int
+}
+
+// applyTo applies m to the session. The nodes and the edges are two
+// all-or-nothing batches; a live request carries only one of them.
+func (m mutation) applyTo(ses *ftnet.Session) error {
+	if m.clear {
+		if err := ses.ClearFaultsChecked(m.nodes...); err != nil {
+			return err
+		}
+		return ses.ClearEdgeFaultsChecked(m.edges...)
+	}
+	if err := ses.AddFaultsChecked(m.nodes...); err != nil {
+		return err
+	}
+	return ses.AddEdgeFaultsChecked(m.edges...)
+}
+
+// request is one unit of writer work: a mutation, or a flush that forces
+// an evaluation. reply is buffered (capacity 1) so the writer never
+// blocks on an abandoned waiter.
+type request struct {
+	mut   mutation
+	flush bool
 	reply chan result // nil for fire-and-forget mutations
 }
 
@@ -206,10 +232,7 @@ func newTopology(cfg TopologyConfig, policy Config, restore *diskSnapshot) (*top
 		if err := restore.check(cfg, host); err != nil {
 			return nil, err
 		}
-		if err := t.ses.AddFaultsChecked(restore.Faults...); err != nil {
-			return nil, fmt.Errorf("topology %s: restore: %w", cfg.ID, err)
-		}
-		if err := t.ses.AddEdgeFaultsChecked(restore.Edges...); err != nil {
+		if err := (mutation{nodes: restore.Faults, edges: restore.Edges}).applyTo(t.ses); err != nil {
 			return nil, fmt.Errorf("topology %s: restore: %w", cfg.ID, err)
 		}
 		gen = restore.Generation
@@ -255,85 +278,42 @@ func newTopology(cfg TopologyConfig, policy Config, restore *diskSnapshot) (*top
 
 // restoreUncommitted replays the snapshot's session-level delta: the
 // mutations recorded after the last successful commit (adds beyond, and
-// clears of, the committed fault and edge-fault sets). They are applied
+// clears of, the committed fault and edge-fault sets), as one add and
+// one clear mutation through the live writer path. They are applied
 // without demanding a successful evaluation — the pre-restart state may
 // well have been beyond tolerance — and left pending for the batching
 // policy, exactly as they were before the restart.
 func (t *topology) restoreUncommitted(restore *diskSnapshot) error {
-	var adds, clears []int
+	add, clr := mutation{}, mutation{clear: true}
 	if restore.SessionFaults != nil {
-		adds, clears = sortedDiff(restore.Faults, restore.SessionFaults)
+		add.nodes, clr.nodes = sortedDiff(restore.Faults, restore.SessionFaults, cmp.Compare[int])
 	}
-	var edgeAdds, edgeClears [][2]int
 	if restore.SessionEdges != nil {
-		edgeAdds, edgeClears = edgeDiff(restore.Edges, restore.SessionEdges)
+		add.edges, clr.edges = sortedDiff(restore.Edges, restore.SessionEdges, func(a, b [2]int) int {
+			return slices.Compare(a[:], b[:]) // lexicographic, as snapshots store edges
+		})
 	}
-	if len(adds)+len(clears)+len(edgeAdds)+len(edgeClears) == 0 {
-		return nil
+	for _, m := range []mutation{add, clr} {
+		if len(m.nodes)+len(m.edges) == 0 {
+			continue
+		}
+		if err := t.record(m); err != nil {
+			return fmt.Errorf("topology %s: restore uncommitted: %w", t.cfg.ID, err)
+		}
 	}
-	if err := t.ses.AddFaultsChecked(adds...); err != nil {
-		return fmt.Errorf("topology %s: restore uncommitted: %w", t.cfg.ID, err)
-	}
-	if err := t.ses.ClearFaultsChecked(clears...); err != nil {
-		return fmt.Errorf("topology %s: restore uncommitted: %w", t.cfg.ID, err)
-	}
-	if err := t.ses.AddEdgeFaultsChecked(edgeAdds...); err != nil {
-		return fmt.Errorf("topology %s: restore uncommitted: %w", t.cfg.ID, err)
-	}
-	if err := t.ses.ClearEdgeFaultsChecked(edgeClears...); err != nil {
-		return fmt.Errorf("topology %s: restore uncommitted: %w", t.cfg.ID, err)
-	}
-	t.pendingMuts = 1
-	t.pendingNodes = len(adds) + len(clears) + len(edgeAdds) + len(edgeClears)
-	for _, v := range adds {
-		t.pendingCols[v%t.numCols] = struct{}{}
-	}
-	for _, v := range clears {
-		t.pendingCols[v%t.numCols] = struct{}{}
-	}
-	for _, e := range edgeAdds {
-		t.pendingCols[fault.ChargedEndpoint(e[0], e[1])%t.numCols] = struct{}{}
-	}
-	for _, e := range edgeClears {
-		t.pendingCols[fault.ChargedEndpoint(e[0], e[1])%t.numCols] = struct{}{}
-	}
-	t.metrics.pendingRequests.Store(1)
 	return nil
 }
 
-// sortedDiff splits two increasing node lists into session-only (adds)
-// and committed-only (clears) elements.
-func sortedDiff(committed, session []int) (adds, clears []int) {
+// sortedDiff splits two lists sorted by compare into session-only
+// (adds) and committed-only (clears) elements.
+func sortedDiff[E any](committed, session []E, compare func(a, b E) int) (adds, clears []E) {
 	i, j := 0, 0
 	for i < len(committed) || j < len(session) {
 		switch {
-		case i == len(committed) || (j < len(session) && session[j] < committed[i]):
+		case i == len(committed) || (j < len(session) && compare(session[j], committed[i]) < 0):
 			adds = append(adds, session[j])
 			j++
-		case j == len(session) || committed[i] < session[j]:
-			clears = append(clears, committed[i])
-			i++
-		default:
-			i++
-			j++
-		}
-	}
-	return adds, clears
-}
-
-// edgeDiff splits two lexicographically sorted canonical edge lists into
-// session-only (adds) and committed-only (clears) edges.
-func edgeDiff(committed, session [][2]int) (adds, clears [][2]int) {
-	less := func(a, b [2]int) bool {
-		return a[0] < b[0] || (a[0] == b[0] && a[1] < b[1])
-	}
-	i, j := 0, 0
-	for i < len(committed) || j < len(session) {
-		switch {
-		case i == len(committed) || (j < len(session) && less(session[j], committed[i])):
-			adds = append(adds, session[j])
-			j++
-		case j == len(session) || less(committed[i], session[j]):
+		case j == len(session) || compare(committed[i], session[j]) < 0:
 			clears = append(clears, committed[i])
 			i++
 		default:
@@ -409,64 +389,42 @@ func (t *topology) run() {
 // apply folds one request into the pending batch and reports whether it
 // forces an evaluation.
 func (t *topology) apply(req request) bool {
-	switch req.kind {
-	case reqFlush:
-		if req.reply != nil {
-			t.waiters = append(t.waiters, req.reply)
-		}
-		return true
-	case reqAdd, reqClear:
-		var err error
-		if req.kind == reqAdd {
-			err = t.ses.AddFaultsChecked(req.nodes...)
-		} else {
-			err = t.ses.ClearFaultsChecked(req.nodes...)
-		}
-		if err != nil {
-			// The handler validates indices before enqueueing, so this is
-			// an internal inconsistency; fail the request, not the batch.
+	if !req.flush {
+		if err := t.record(req.mut); err != nil {
+			// The handler validates the batch before enqueueing, so this
+			// is an internal inconsistency; fail the request, not the
+			// batch.
 			if req.reply != nil {
 				req.reply <- result{err: err}
 			}
 			return false
-		}
-		t.pendingMuts++
-		t.pendingNodes += len(req.nodes)
-		for _, v := range req.nodes {
-			t.pendingCols[v%t.numCols] = struct{}{}
-		}
-		t.metrics.pendingRequests.Store(int64(t.pendingMuts))
-		if req.reply != nil {
-			t.waiters = append(t.waiters, req.reply)
-		}
-	case reqAddEdges, reqClearEdges:
-		var err error
-		if req.kind == reqAddEdges {
-			err = t.ses.AddEdgeFaultsChecked(req.edges...)
-		} else {
-			err = t.ses.ClearEdgeFaultsChecked(req.edges...)
-		}
-		if err != nil {
-			// Endpoints were validated at the API boundary (see
-			// edgeMutationHandler); an error here is an internal
-			// inconsistency and fails only this request.
-			if req.reply != nil {
-				req.reply <- result{err: err}
-			}
-			return false
-		}
-		t.pendingMuts++
-		t.pendingNodes += len(req.edges)
-		for _, e := range req.edges {
-			// An edge fault only dirties its charged endpoint's column.
-			t.pendingCols[fault.ChargedEndpoint(e[0], e[1])%t.numCols] = struct{}{}
-		}
-		t.metrics.pendingRequests.Store(int64(t.pendingMuts))
-		if req.reply != nil {
-			t.waiters = append(t.waiters, req.reply)
 		}
 	}
-	return false
+	if req.reply != nil {
+		t.waiters = append(t.waiters, req.reply)
+	}
+	return req.flush
+}
+
+// record applies one mutation to the session and adds it to the pending
+// batch: one more mutation, its reports, and the host columns it dirties
+// (an edge fault dirties only its charged endpoint's column). It is the
+// only way a mutation reaches the session after construction — live
+// requests and restored uncommitted tails alike.
+func (t *topology) record(m mutation) error {
+	if err := m.applyTo(t.ses); err != nil {
+		return err
+	}
+	t.pendingMuts++
+	t.pendingNodes += len(m.nodes) + len(m.edges)
+	for _, v := range m.nodes {
+		t.pendingCols[v%t.numCols] = struct{}{}
+	}
+	for _, e := range m.edges {
+		t.pendingCols[fault.ChargedEndpoint(e[0], e[1])%t.numCols] = struct{}{}
+	}
+	t.metrics.pendingRequests.Store(int64(t.pendingMuts))
+	return nil
 }
 
 // eval evaluates the accumulated batch with one Reembed and publishes

@@ -134,6 +134,22 @@ if [ "$STATUS" != "400" ]; then
   exit 1
 fi
 
+echo "== edge repair, and a body sent to the wrong route =="
+# Both edge-fault verbs and both mutation routes share one handler; each
+# route reads only its own field, so an edge batch on .../faults is an
+# empty node batch.
+FIRST_EDGE="$(echo "$EDGES" | sed -n 's/^\[\(\[[0-9]*,[0-9]*\]\).*/\1/p')"
+curl -fsS -X DELETE "$BASE/edge-faults" -d "{\"edges\":[$FIRST_EDGE]}"; echo
+if ! curl -fsS "http://$ADDR/metrics" | grep -q 'ftnetd_edge_faults{topology="main"} 1'; then
+  echo "ftnetd_edge_faults gauge does not show the repaired edge" >&2
+  exit 1
+fi
+STATUS="$(curl -sS -o /dev/null -w '%{http_code}' -X POST "$BASE/faults" -d "{\"edges\":[$FIRST_EDGE]}" || true)"
+if [ "$STATUS" != "400" ]; then
+  echo "edge batch on the node-fault route returned $STATUS, want 400" >&2
+  exit 1
+fi
+
 echo "== batching + delta metrics =="
 curl -fsS "http://$ADDR/metrics" | grep -E 'ftnetd_(reembed_total|batch_mutations|delta_requests)' || true
 
