@@ -225,7 +225,7 @@ func churnSteadyState(b *testing.B, g *core.Graph, stationary float64) (*churn.G
 		b.Fatal(err)
 	}
 	sc := core.NewScratch(1)
-	ses := g.NewSession(sc, core.ExtractOptions{})
+	ses := g.NewSession(sc)
 	stream := rng.NewPCG(4242, 1)
 	faults := sc.Faults(g.NumNodes())
 	faults.Bernoulli(stream, stationary)
@@ -350,7 +350,7 @@ func edgeChurnSteadyState(b *testing.B, g *core.Graph, scale float64) (*churn.Ge
 		b.Fatal(err)
 	}
 	sc := core.NewScratch(1)
-	ses := g.NewSession(sc, core.ExtractOptions{})
+	ses := g.NewSession(sc)
 	stream := rng.NewPCG(4242, 3)
 	ch := fault.NewCharger(g.NumNodes())
 	// ~8 relaxation times of warmup events reach the stationary mix.
@@ -642,7 +642,7 @@ func BenchmarkChurnSessionRearmed(b *testing.B) {
 		b.Fatal(err)
 	}
 	sc := core.NewScratch(1)
-	ses := g.NewSession(sc, core.ExtractOptions{})
+	ses := g.NewSession(sc)
 	stream := rng.NewPCG(4242, 1)
 	faults := sc.Faults(g.NumNodes())
 	// Cold evaluation WITH the rotating fault: the cliff scenario.

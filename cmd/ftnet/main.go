@@ -8,7 +8,7 @@
 //	ftnet worstcase -d 2 -side 100 -k 27 [-faults N] [-pattern cluster] [-seed N]
 //	ftnet health    -side 400 -p 1e-5 [-seed N]
 //	ftnet simulate  -side 200 -faults 10 [-steps N] [-seed N]
-//	ftnet churn     -side 200 -arrival 2e-5 -repair 1 -horizon 20 [-edge-arrival R] [-edge-repair R] [-trials N] [-workers N] [-independent]
+//	ftnet churn     -side 200 -arrival 2e-5 -repair 1 -horizon 20 [-edge-arrival R] [-edge-repair R] [-trials N] [-workers N] [-batch N]
 //	ftnet edges     -d 2 -side 64 -eps 0.5 -count 2
 //	ftnet serve     -listen 127.0.0.1:8080 -topology id=main,d=2,side=200,eps=0.5 [-snapshot-dir DIR]
 //	ftnet loadgen   -side 64 -duration 10s -json-clients 8 -delta-clients 8 [-out BENCH.json]
@@ -245,7 +245,6 @@ func runChurn(args []string) error {
 	seed := fs.Uint64("seed", 1, "master seed")
 	stopAtDeath := fs.Bool("stop-at-death", false, "end each trial at the first unembeddable state")
 	batch := fs.Int("batch", 0, "evaluate the full pipeline once per this many events, deciding per-event status with the placement probe; bit-identical results (0 or 1 = per-event)")
-	independent := fs.Bool("independent", false, "ablation: re-run the full pipeline from scratch after every event instead of the incremental session")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -338,7 +337,6 @@ func runChurn(args []string) error {
 		Horizon:     *horizon,
 		StopAtDeath: *stopAtDeath,
 		Batch:       *batch,
-		Independent: *independent,
 	})
 	if err != nil {
 		return err

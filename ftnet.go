@@ -262,7 +262,7 @@ func (t *RandomFaultTorus) NewSession() *Session {
 	return &Session{
 		t:       t,
 		sc:      sc,
-		ses:     t.g.NewSession(sc, core.ExtractOptions{}),
+		ses:     t.g.NewSession(sc),
 		charger: fault.NewCharger(t.g.NumNodes()),
 	}
 }

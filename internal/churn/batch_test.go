@@ -14,8 +14,9 @@ import (
 // regimes below are chosen to cross the unhealthy boundary in both
 // directions (the 422-poison steps of the serve path): clustered bursts
 // kill the torus mid-stream, repairs revive it, so the windows exercise
-// the one-eval survival path, the death bisection, and the
-// repair-revival eval.
+// the one-eval survival path, a window that absorbs a death (the probe
+// latches it and the boundary Eval is deferred), and the repair-revival
+// eval.
 
 // assertBatchGolden compares the per-event oracle against batched runs
 // at several window sizes on identical (proc, trials, seed, opts).
@@ -45,11 +46,11 @@ func assertBatchGolden(t *testing.T, g *core.Graph, proc Process, trials int, se
 	return want
 }
 
-// TestBatchGoldenAging pins the death-time bisection on the pure-aging
-// regime of E16: no repairs, every trial dies, StopAtDeath — the whole
-// trial is one growing window and the exact death event must come out
-// of the bisection, including the events-processed count the oracle
-// stops at.
+// TestBatchGoldenAging pins a window that absorbs a death under
+// StopAtDeath, on the pure-aging regime of E16: no repairs, every trial
+// dies, and the death lands inside an open window, so the probe alone
+// must latch the exact death event and fault count, and stop at the
+// events-processed count the oracle stops at.
 func TestBatchGoldenAging(t *testing.T) {
 	g := testGraph(t)
 	proc := Process{Arrival: 5e-4}
@@ -61,7 +62,7 @@ func TestBatchGoldenAging(t *testing.T) {
 		died += rep.DeathRate()
 	}
 	if died == 0 {
-		t.Fatal("no trial died: the bisection path was never exercised")
+		t.Fatal("no trial died: no window ever absorbed a death")
 	}
 }
 
@@ -160,15 +161,6 @@ func TestBatchGoldenWorkers(t *testing.T) {
 					workers, c, rep.Mean[c], rep.StdErr[c], want.Mean[c], want.StdErr[c])
 			}
 		}
-	}
-}
-
-// TestBatchRejectsIndependent pins the config error: the from-scratch
-// ablation has no incremental session to bisect with.
-func TestBatchRejectsIndependent(t *testing.T) {
-	g := testGraph(t)
-	if _, err := Simulate(g, Process{Arrival: 1e-5}, 2, 1, Options{Horizon: 5, Batch: 8, Independent: true}); err == nil {
-		t.Fatal("Batch with Independent must be rejected")
 	}
 }
 

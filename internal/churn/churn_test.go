@@ -103,9 +103,11 @@ func TestProcessValidate(t *testing.T) {
 
 // TestParallelDeterminismChurn pins two contracts at once: the lifetime
 // simulation is bit-identical across worker counts, and the incremental
-// session path reports exactly the same outcomes as the from-scratch
-// per-event ablation (Options.Independent) — the lifetime-level face of
-// the session's dense-equivalence guarantee.
+// per-event session reports exactly the same outcomes as the batched
+// evaluator, whose per-event status comes from core.Graph.Tolerates —
+// a classification from the fault set alone, with no session state to
+// carry between events. That is the lifetime-level face of the session's
+// dense-equivalence guarantee.
 func TestParallelDeterminismChurn(t *testing.T) {
 	g := testGraph(t)
 	proc := Process{Arrival: 3e-5, Repair: 0.4}
@@ -133,15 +135,15 @@ func TestParallelDeterminismChurn(t *testing.T) {
 		t.Fatal("no churn events in the horizon; raise the rates")
 	}
 	opts.Workers = 2
-	opts.Independent = true
-	indep, err := Simulate(g, proc, trials, 99, opts)
+	opts.Batch = 16
+	batched, err := Simulate(g, proc, trials, 99, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for c := 0; c < NumMetrics; c++ {
-		if indep.Mean[c] != want.Mean[c] {
-			t.Fatalf("ablation metric %d = %v, session %v — incremental and from-scratch outcomes diverged",
-				c, indep.Mean[c], want.Mean[c])
+		if batched.Mean[c] != want.Mean[c] {
+			t.Fatalf("batched metric %d = %v, per-event session %v — incremental session and from-scratch probe outcomes diverged",
+				c, batched.Mean[c], want.Mean[c])
 		}
 	}
 }

@@ -157,9 +157,10 @@ func TestNextMixedNodeOnlyMatchesNext(t *testing.T) {
 }
 
 // TestParallelDeterminismChurnMixed extends the lifetime determinism and
-// ablation-equivalence contract to mixed node+edge populations: results
+// equivalence contract to mixed node+edge populations: results
 // bit-identical across worker counts, and the incremental session path
-// identical to from-scratch evaluation of the charged fault set.
+// identical to the batched evaluator's from-scratch probe of the charged
+// fault set.
 func TestParallelDeterminismChurnMixed(t *testing.T) {
 	g := testGraph(t)
 	proc := Process{
@@ -194,15 +195,15 @@ func TestParallelDeterminismChurnMixed(t *testing.T) {
 		t.Fatal("no churn events in the horizon; raise the rates")
 	}
 	opts.Workers = 2
-	opts.Independent = true
-	indep, err := Simulate(g, proc, trials, 41, opts)
+	opts.Batch = 16
+	batched, err := Simulate(g, proc, trials, 41, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for c := 0; c < NumMetrics; c++ {
-		if indep.Mean[c] != want.Mean[c] {
-			t.Fatalf("ablation metric %d = %v, session %v — incremental and from-scratch outcomes diverged on a mixed population",
-				c, indep.Mean[c], want.Mean[c])
+		if batched.Mean[c] != want.Mean[c] {
+			t.Fatalf("batched metric %d = %v, per-event session %v — incremental session and from-scratch probe outcomes diverged on a mixed population",
+				c, batched.Mean[c], want.Mean[c])
 		}
 	}
 }

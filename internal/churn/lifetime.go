@@ -54,9 +54,7 @@ type Options struct {
 	// add/clear absorbs the window's mutations in one warm incremental
 	// step. Every reported metric — death time, death size, availability,
 	// event counts — is bit-identical to the per-event evaluator; only
-	// the cost moves. 0 or 1 keeps the per-event oracle. Incompatible
-	// with Independent (the from-scratch ablation has no incremental
-	// session to batch into).
+	// the cost moves. 0 or 1 keeps the per-event evaluator.
 	Batch int
 	// StopAtDeath ends each trial at its first unembeddable state
 	// instead of simulating to the horizon. Death time, death size and
@@ -66,13 +64,6 @@ type Options struct {
 	// mean-faults-to-death experiments use it to skip simulating dead
 	// machines.
 	StopAtDeath bool
-	// Independent is the ablation switch: evaluate every event with a
-	// from-scratch pipeline run (core.ContainTorus) instead of the
-	// incremental session. Outcomes are bit-identical either way — the
-	// session's equivalence contract — so the flag only moves cost.
-	Independent bool
-	// Dense additionally forces the legacy whole-host pipeline per event.
-	Dense bool
 }
 
 // Result aggregates a lifetime simulation.
@@ -116,20 +107,17 @@ type trialState struct {
 
 // Simulate runs lifetime trials of the churn process on g's Theorem 2
 // host and aggregates them. Each trial starts from the fault-free host,
-// steps the process to opts.Horizon, and re-evaluates the pipeline after
-// every event through one core.Session (or from scratch, with
-// opts.Independent). Determinism follows the repository contract: trial
-// t draws only from its (seed, t) PCG stream and results are
-// bit-identical for every worker count.
+// steps the process to opts.Horizon, and re-evaluates the pipeline
+// after every event through one warm core.Session (with opts.Batch, the
+// placement probe per event and one Eval per window). Determinism
+// follows the repository contract: trial t draws only from its (seed, t)
+// PCG stream and results are bit-identical for every worker count.
 func Simulate(g *core.Graph, proc Process, trials int, seed uint64, opts Options) (Result, error) {
 	if opts.Horizon <= 0 {
 		return Result{}, fterr.New(fterr.Invalid, "churn.Simulate", "horizon %v <= 0", opts.Horizon)
 	}
 	if err := proc.Validate(); err != nil {
 		return Result{}, err
-	}
-	if opts.Batch > 1 && opts.Independent {
-		return Result{}, fterr.New(fterr.Invalid, "churn.Simulate", "Batch=%d requires the incremental session; Independent evaluates from scratch per event", opts.Batch)
 	}
 	maxEvents := opts.MaxEvents
 	if maxEvents <= 0 {
@@ -148,7 +136,7 @@ func Simulate(g *core.Graph, proc Process, trials int, seed uint64, opts Options
 			}
 			return &trialState{
 				sc:  sc,
-				ses: g.NewSession(sc, core.ExtractOptions{Dense: opts.Dense}),
+				ses: g.NewSession(sc),
 				gen: gen,
 				ch:  fault.NewCharger(g.NumNodes()),
 			}
@@ -167,9 +155,8 @@ func Simulate(g *core.Graph, proc Process, trials int, seed uint64, opts Options
 // The mixed node+edge process mutates a fault.Charger, and every status
 // source reads the *effective* (charged) node set, so all of them agree
 // bit for bit for any mix of node faults and link flaps. The status of
-// each event comes from one of three sources:
+// each event comes from one of two sources:
 //
-//   - opts.Independent: a from-scratch pipeline run (core.ContainTorus);
 //   - opts.Batch >= 2: the placement-only probe (core.Graph.Tolerates),
 //     with one warm session Eval per window of Batch events (batch.go);
 //   - otherwise: a warm incremental session Eval per event.
@@ -210,21 +197,17 @@ func lifetimeTrial(g *core.Graph, ts *trialState, stream *rng.PCG, maxEvents int
 		now = ev.Time
 		events++
 
+		// The session's note contract — every mutation since the last
+		// successful Eval — must hold at each Eval, so every event
+		// reports its deltas, windowed or not.
+		ts.ses.NoteAdded(ev.EffAdded)
+		ts.ses.NoteCleared(ev.EffCleared)
 		var status error
-		if opts.Independent {
-			status = evalErrOnly(g.ContainTorus(ts.ch.Effective(), core.ExtractOptions{Scratch: ts.sc, Dense: opts.Dense}))
+		if batched {
+			pending++
+			status = g.Tolerates(ts.ch.Effective(), ts.sc)
 		} else {
-			// The session's note contract — every mutation since the last
-			// successful Eval — must hold at each Eval, so every event
-			// reports its deltas, windowed or not.
-			ts.ses.NoteAdded(ev.EffAdded)
-			ts.ses.NoteCleared(ev.EffCleared)
-			if batched {
-				pending++
-				status = g.Tolerates(ts.ch.Effective(), ts.sc)
-			} else {
-				status = evalErrOnly(ts.ses.Eval(ts.ch.Effective()))
-			}
+			status = evalErrOnly(ts.ses.Eval(ts.ch.Effective()))
 		}
 		upNow, err := evalClass(status)
 		if err != nil {

@@ -18,10 +18,10 @@ type ExtractOptions struct {
 	CheckConsistency bool
 	// Dense forces the whole-host pipeline: dense interpolation, full-BFS
 	// extraction and whole-graph verification, each O(N) per trial. It is
-	// the oracle the golden equivalence tests pin the delta engine
-	// against, and the -dense ablation. The default (false) with a
-	// Scratch runs the delta engine (Session), where a one-shot trial is a
-	// cold start: a delta from the all-defaults template.
+	// the oracle the golden equivalence tests and benchmarks pin the delta
+	// engine against, not a mode of any harness. The default (false) with
+	// a Scratch runs the delta engine (Session), where a one-shot trial is
+	// a cold start: a delta from the all-defaults template.
 	Dense bool
 	// Scratch, if non-nil, supplies reusable buffers for placement,
 	// extraction and verification, and bounds the pipeline's inner

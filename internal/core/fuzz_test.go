@@ -29,7 +29,7 @@ func FuzzSession(f *testing.F) {
 			raw = raw[:60] // a handful of ops is enough to hit every transition
 		}
 		sc := NewScratch(1)
-		ses := g.NewSession(sc, ExtractOptions{})
+		ses := g.NewSession(sc)
 		faults := fault.NewSet(g.NumNodes())
 		delta := make([]int, 0, 1)
 		// Interpret byte triples as (op, row seed, column seed): op&3

@@ -269,7 +269,7 @@ func int32Equal(a, b []int32) bool {
 // regression tests and benchmarks that need a deterministic rotating
 // fault; returns -1 when no single node rotates this host.
 func (g *Graph) FindAnchorRotatingFault() int {
-	ses := g.NewSession(NewScratch(1), ExtractOptions{})
+	ses := g.NewSession(NewScratch(1))
 	faults := fault.NewSet(g.NumNodes())
 	for u := 0; u < g.NumNodes(); u++ {
 		faults.Add(u)

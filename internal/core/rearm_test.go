@@ -27,7 +27,7 @@ func TestSessionRearmAfterRotation(t *testing.T) {
 	}
 
 	sc := NewScratch(1)
-	ses := g.NewSession(sc, ExtractOptions{})
+	ses := g.NewSession(sc)
 	faults := fault.NewSet(g.NumNodes())
 
 	faults.Add(rot)
@@ -109,7 +109,7 @@ func TestSessionRotationWhileWarm(t *testing.T) {
 		t.Fatal("no single-node anchor-rotating fault on the test host")
 	}
 	sc := NewScratch(1)
-	ses := g.NewSession(sc, ExtractOptions{})
+	ses := g.NewSession(sc)
 	faults := fault.NewSet(g.NumNodes())
 
 	far := g.NodeIndex(300, 250)
@@ -153,7 +153,7 @@ func TestRearmInterleavingEquivalence(t *testing.T) {
 		t.Fatal("no single-node anchor-rotating fault on the test host")
 	}
 	sc := NewScratch(1)
-	ses := g.NewSession(sc, ExtractOptions{})
+	ses := g.NewSession(sc)
 	pThm := g.P.TheoremFailureProb()
 	var buf []int
 	for seed := uint64(0); seed < 10; seed++ {

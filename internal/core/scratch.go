@@ -353,7 +353,7 @@ func (sc *Scratch) boxClassifyBufs(nBoxes, nPrev int) (copyable, matched, isMatc
 // ContainTorus evaluates through, rebuilt when the graph changes.
 func (sc *Scratch) session(g *Graph) *Session {
 	if sc.ses == nil || sc.ses.g != g {
-		sc.ses = g.NewSession(sc, ExtractOptions{})
+		sc.ses = g.NewSession(sc)
 	}
 	return sc.ses
 }

@@ -86,9 +86,8 @@ const (
 // ContainTorus, a dense-pipeline call — overwrite its committed state;
 // the next Eval notices (Scratch.owner) and starts cold.
 type Session struct {
-	g    *Graph
-	sc   *Scratch
-	opts ExtractOptions
+	g  *Graph
+	sc *Scratch
 
 	bsA, bsB *bands.Set
 	cur      *bands.Set // committed family described by the scratch's rowmap/embedding state; nil after Reset
@@ -118,12 +117,11 @@ type Session struct {
 	ncoord  []int
 }
 
-// NewSession wraps sc for delta evaluation on g. opts.Scratch is forced
-// to sc; opts.Dense degrades every Eval to the independent dense
-// pipeline (the ablation mode).
-func (g *Graph) NewSession(sc *Scratch, opts ExtractOptions) *Session {
-	opts.Scratch = sc
-	return &Session{g: g, sc: sc, opts: opts}
+// NewSession wraps sc for delta evaluation on g. The dense pipeline is
+// not a session mode: it is the oracle behind ContainTorus with
+// ExtractOptions.Dense, which the golden tests compare Eval against.
+func (g *Graph) NewSession(sc *Scratch) *Session {
+	return &Session{g: g, sc: sc}
 }
 
 // Reset starts a new trial: the next Eval is a cold start, a delta from
@@ -194,16 +192,12 @@ func (s *Session) NoteCleared(cleared []int) {
 //ftnet:hotpath
 func (s *Session) Eval(faults *fault.Set) (*Result, error) {
 	g, sc := s.g, s.sc
-	if s.opts.dense() {
-		s.deltaFull = true
-		return g.containDense(faults, s.opts)
-	}
 	tpl, err := g.template()
 	if err != nil {
 		// No usable template (e.g. ablated edge classes): every Eval runs
 		// the dense pipeline, which reports such failures on its own terms.
 		s.deltaFull = true
-		return g.containDense(faults, s.opts)
+		return g.containDense(faults, ExtractOptions{Scratch: sc})
 	}
 	s.ensureBuffers()
 	boxes, rep, err := g.buildBoxes(faults, sc)

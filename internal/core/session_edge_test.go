@@ -98,7 +98,7 @@ func TestSessionEdgeChargingEquivalence2D(t *testing.T) {
 	g := mustGraph(t, testParams2D())
 	sc := NewScratch(1)
 	scDense := NewScratch(0)
-	ses := g.NewSession(sc, ExtractOptions{})
+	ses := g.NewSession(sc)
 	var nbuf, eff []int
 	for seed := uint64(0); seed < 12; seed++ {
 		ses.Reset()
@@ -122,7 +122,7 @@ func TestSessionEdgeChargingEquivalence3D(t *testing.T) {
 	g := mustGraph(t, Params{D: 3, W: 4, Pitch: 16, Scale: 1})
 	sc := NewScratch(1)
 	scDense := NewScratch(0)
-	ses := g.NewSession(sc, ExtractOptions{})
+	ses := g.NewSession(sc)
 	var nbuf, eff []int
 	for seed := uint64(0); seed < 6; seed++ {
 		ses.Reset()
@@ -159,7 +159,7 @@ func TestSessionEdgeOrderIndependence(t *testing.T) {
 
 	run := func(order []fault.Edge, flip bool) []int {
 		sc := NewScratch(1)
-		ses := g.NewSession(sc, ExtractOptions{})
+		ses := g.NewSession(sc)
 		c := fault.NewCharger(g.NumNodes())
 		var eff []int
 		for _, v := range nodes {

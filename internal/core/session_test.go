@@ -70,7 +70,7 @@ func churnStep(r rng.Source, faults *fault.Set, ses *Session, addRate float64, b
 func TestSessionInterleavingEquivalence2D(t *testing.T) {
 	g := mustGraph(t, testParams2D())
 	sc := NewScratch(1)
-	ses := g.NewSession(sc, ExtractOptions{})
+	ses := g.NewSession(sc)
 	pThm := g.P.TheoremFailureProb()
 	var buf []int
 	for seed := uint64(0); seed < 20; seed++ {
@@ -98,7 +98,7 @@ func TestSessionInterleavingEquivalence3D(t *testing.T) {
 	g := mustGraph(t, Params{D: 3, W: 4, Pitch: 16, Scale: 1})
 	sc := NewScratch(1)
 	scDense := NewScratch(0)
-	ses := g.NewSession(sc, ExtractOptions{})
+	ses := g.NewSession(sc)
 	var buf, cleared []int
 	for seed := uint64(0); seed < 20; seed++ {
 		ses.Reset()
@@ -149,7 +149,7 @@ func sessionDenseStep(t *testing.T, g *Graph, ses *Session, faults *fault.Set, s
 func TestSessionHealToTemplate(t *testing.T) {
 	g := mustGraph(t, testParams2D())
 	sc := NewScratch(1)
-	ses := g.NewSession(sc, ExtractOptions{})
+	ses := g.NewSession(sc)
 	faults := fault.NewSet(g.NumNodes())
 	nodes := []int{g.NodeIndex(100, 100), g.NodeIndex(400, 300), g.NodeIndex(250, 200)}
 	for _, u := range nodes {
@@ -187,7 +187,7 @@ func TestSessionHealToTemplate(t *testing.T) {
 func TestSessionUnhealthyRecovery(t *testing.T) {
 	g := mustGraph(t, testParams2D())
 	sc := NewScratch(1)
-	ses := g.NewSession(sc, ExtractOptions{})
+	ses := g.NewSession(sc)
 	faults := fault.NewSet(g.NumNodes())
 
 	base := []int{g.NodeIndex(100, 100)}
@@ -239,7 +239,7 @@ func TestSessionUnhealthyRecovery(t *testing.T) {
 func TestSessionChurnSurvivesFailedEval(t *testing.T) {
 	g := mustGraph(t, testParams2D())
 	sc := NewScratch(1)
-	ses := g.NewSession(sc, ExtractOptions{})
+	ses := g.NewSession(sc)
 	faults := fault.NewSet(g.NumNodes())
 
 	base := []int{g.NodeIndex(100, 100)}
@@ -296,8 +296,8 @@ func TestSessionChurnSurvivesFailedEval(t *testing.T) {
 func TestSessionSharedScratch(t *testing.T) {
 	g := mustGraph(t, testParams2D())
 	sc := NewScratch(1)
-	ses := g.NewSession(sc, ExtractOptions{})
-	other := g.NewSession(sc, ExtractOptions{})
+	ses := g.NewSession(sc)
+	other := g.NewSession(sc)
 	rate := 10 * g.P.TheoremFailureProb()
 	var buf []int
 	for seed := uint64(0); seed < 40; seed++ {

@@ -30,7 +30,7 @@ func TestSweepLadderEquivalence(t *testing.T) {
 	g := mustGraph(t, testParams2D())
 	rates := sweepRates(g)
 	sc := NewScratch(1)
-	st := g.NewSession(sc, ExtractOptions{})
+	st := g.NewSession(sc)
 	var added []int
 	for seed := uint64(0); seed < 12; seed++ {
 		st.Reset()
@@ -59,7 +59,7 @@ func TestSweepSkippedRungEquivalence(t *testing.T) {
 	g := mustGraph(t, testParams2D())
 	rates := sweepRates(g)
 	sc := NewScratch(1)
-	st := g.NewSession(sc, ExtractOptions{})
+	st := g.NewSession(sc)
 	var added []int
 	for seed := uint64(100); seed < 106; seed++ {
 		st.Reset()
@@ -123,7 +123,7 @@ func TestSweepCraftedTransitions(t *testing.T) {
 		}},
 	}
 	sc := NewScratch(1)
-	st := g.NewSession(sc, ExtractOptions{})
+	st := g.NewSession(sc)
 	for _, c := range cases {
 		st.Reset()
 		faults := sc.Faults(g.NumNodes())
@@ -145,7 +145,7 @@ func TestSweepCraftedTransitions(t *testing.T) {
 func TestSweepNonMonotone(t *testing.T) {
 	g := mustGraph(t, testParams2D())
 	sc := NewScratch(1)
-	st := g.NewSession(sc, ExtractOptions{})
+	st := g.NewSession(sc)
 	st.Reset()
 	x := g.NodeIndex(100, 100)
 	y := g.NodeIndex(400, 300)
@@ -176,7 +176,7 @@ func TestSweepTrialReuseAcrossTrials(t *testing.T) {
 	g := mustGraph(t, testParams2D())
 	rates := sweepRates(g)
 	sc := NewScratch(1)
-	st := g.NewSession(sc, ExtractOptions{})
+	st := g.NewSession(sc)
 	var added []int
 	for trial := uint64(0); trial < 6; trial++ {
 		st.Reset()

@@ -56,8 +56,6 @@ func runE16(cfg Config) error {
 			TargetCI:    cfg.TargetCI,
 			Horizon:     1e9, // pure aging always dies; StopAtDeath ends the trial there
 			StopAtDeath: true,
-			Independent: cfg.Independent,
-			Dense:       cfg.Dense,
 		})
 		if err != nil {
 			return err
@@ -110,17 +108,15 @@ func runE17(cfg Config) error {
 		trials               int
 	}
 	rungs := make([]rung, len(rhos))
-	if cfg.Independent || cfg.Dense {
-		// Ablation: one independent per-event simulation per rung, each on
+	if cfg.Independent {
+		// Ablation: one uncoupled per-event simulation per rung, each on
 		// its own event stream.
 		for i, rho := range rhos {
 			res, err := churn.Simulate(g, churn.Process{Arrival: lambda, Repair: rho}, trials,
 				cfg.cellSeed("E17", uint64(i)), churn.Options{
-					Workers:     cfg.Parallel,
-					TargetCI:    cfg.TargetCI,
-					Horizon:     horizon,
-					Independent: cfg.Independent,
-					Dense:       cfg.Dense,
+					Workers:  cfg.Parallel,
+					TargetCI: cfg.TargetCI,
+					Horizon:  horizon,
 				})
 			if err != nil {
 				return err

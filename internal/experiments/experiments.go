@@ -12,7 +12,6 @@ import (
 	"io"
 	"sort"
 
-	"ftnet/internal/core"
 	"ftnet/internal/parallel"
 	"ftnet/internal/rng"
 	"ftnet/internal/sweep"
@@ -27,11 +26,6 @@ type Config struct {
 	// TargetCI, when positive, lets every Monte-Carlo sweep stop early
 	// once its 95% Wilson interval is narrower than this width.
 	TargetCI float64
-	// Dense forces the legacy whole-host Theorem 2 pipeline in every
-	// trial (ExtractOptions.Dense), disabling the locality-aware fast
-	// path. Results are bit-identical either way (the golden equivalence
-	// tests pin that); the flag exists for perf ablations.
-	Dense bool
 	// Independent disables the nested coupling of the rate-ladder sweeps
 	// and threshold searches (internal/sweep): every rung or probe then
 	// draws fresh independent samples, reproducing the legacy
@@ -89,21 +83,7 @@ func (c Config) sweepConfig() sweep.Config {
 		Workers:     c.Parallel,
 		TargetCI:    c.TargetCI,
 		Independent: c.Independent,
-		Dense:       c.Dense,
 	}
-}
-
-// coreScratch is the standard per-worker scratch factory for trials
-// running the Theorem 2 pipeline: pooled buffers with inner parallelism
-// pinned to 1 so the trial pool owns all concurrency. The scratch also
-// enables the footprint-sized delta engine (unless Config.Dense disables
-// it).
-func coreScratch() any { return core.NewScratch(1) }
-
-// extractOpts is the standard per-trial pipeline options for a worker's
-// scratch, honoring the experiment-level Dense override.
-func (c Config) extractOpts(sc *core.Scratch) core.ExtractOptions {
-	return core.ExtractOptions{Scratch: sc, Dense: c.Dense}
 }
 
 // Experiment is a runnable reproduction of one paper claim.

@@ -184,3 +184,26 @@ func TestE17(t *testing.T) {
 		t.Errorf("E17 output:\n%s", out)
 	}
 }
+
+// TestIndependentAblation runs the Config.Independent selector end to
+// end: E2's rate ladder on uncoupled sweep rungs, and E17's per-rung
+// churn simulations on their own event streams instead of the coupled
+// repair ladder. Both must still reproduce their claims.
+func TestIndependentAblation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Monte Carlo sweep")
+	}
+	var buf bytes.Buffer
+	cfg := quickConfig(&buf)
+	cfg.Independent = true
+	if err := Run(cfg, "E17", "E2"); err != nil {
+		t.Fatalf("%v\noutput so far:\n%s", err, buf.String())
+	}
+	out := buf.String()
+	if !strings.Contains(out, "availability crosses") {
+		t.Errorf("E17 output:\n%s", out)
+	}
+	if !strings.Contains(out, "p_thm") {
+		t.Errorf("E2 output:\n%s", out)
+	}
+}

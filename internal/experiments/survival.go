@@ -157,14 +157,7 @@ func runE3(cfg Config) error {
 				out[base+2] = outcome(!h.Cond3OK)
 				out[base+3] = outcome(h.Healthy())
 				placed := false
-				var placeErr error
-				if cfg.Dense {
-					// Honor the -dense ablation: the scratch-backed call
-					// below always takes the footprint interpolation.
-					_, _, placeErr = g.PlaceBands(faults)
-				} else {
-					_, _, placeErr = g.PlaceBandsScratch(faults, es.sc)
-				}
+				_, _, placeErr := g.PlaceBandsScratch(faults, es.sc)
 				if placeErr == nil {
 					placed = true
 				} else {

@@ -40,8 +40,8 @@ type LadderReport struct {
 // RunLadder executes trials 0..trials-1, each evaluating all k rungs, and
 // aggregates per-rung outcomes. Each rung's committed prefix is the
 // shortest shard prefix whose 95% Wilson interval is narrower than
-// opts.TargetCI (once opts.MinTrials trials are in). Rungs that have
-// stopped are advertised to later-claimed shards via the stopped
+// opts.TargetCI (once four shards' worth of trials are in). Rungs that
+// have stopped are advertised to later-claimed shards via the stopped
 // snapshot, so a coupled sweep trial can skip their pipeline work;
 // outcomes reported for stopped rungs are discarded. The run ends when
 // every rung has stopped or the trial budget is exhausted.

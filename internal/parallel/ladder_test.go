@@ -93,8 +93,9 @@ func TestParallelDeterminismLadder(t *testing.T) {
 }
 
 // TestLadderRungsStopIndependently checks that an easy rung (always
-// failing: zero-width interval once MinTrials are in) stops long before a
-// hard 50/50 rung, and that committed counts differ accordingly.
+// failing: zero-width interval once the minimum trials are in) stops
+// long before a hard 50/50 rung, and that committed counts differ
+// accordingly.
 func TestLadderRungsStopIndependently(t *testing.T) {
 	rep, err := RunLadder(100000, 2, 7, Options{Workers: 8, TargetCI: 0.05},
 		func(t int, stream *rng.PCG, _ any, stopped []bool, out []stats.Outcome) error {
@@ -134,7 +135,7 @@ func TestLadderSkipHintReachesTrials(t *testing.T) {
 			if stopped[0] && !stopped[1] {
 				sawSkip = true // workers=1: no race on this flag
 			}
-			out[0] = stats.Failure // degenerate: stops as soon as MinTrials are in
+			out[0] = stats.Failure // degenerate: stops as soon as the minimum trials are in
 			if u {
 				out[1] = stats.Success
 			} else {

@@ -42,8 +42,8 @@ type LifetimeReport struct {
 // the report.
 //
 // When opts.TargetCI is positive the run stops at the shortest shard
-// prefix (of at least opts.MinTrials trials) on which EVERY component
-// with a nonzero mean has relative 95% precision TargetCI:
+// prefix (of at least four shards' worth of trials) on which EVERY
+// component with a nonzero mean has relative 95% precision TargetCI:
 // 1.96·stderr <= TargetCI·|mean|. Requiring all components prevents a
 // degenerate metric from stopping the run — in a no-death churn regime
 // the death time is constantly the horizon (stderr 0), and keying on it

@@ -25,10 +25,11 @@
 // are paid once per worker, not once per trial.
 //
 // Early stopping. When Options.TargetCI is set, the run commits the
-// shortest shard prefix on which its stopping rule holds (once
-// MinTrials trials are in). The stopping point is a pure function of
-// outcomes in shard order, so it too is worker-count independent;
-// shards that finished beyond the committed prefix are discarded.
+// shortest shard prefix on which its stopping rule holds (once four
+// shards' worth of trials are in). The stopping point is a pure
+// function of outcomes in shard order, so it too is worker-count
+// independent; shards that finished beyond the committed prefix are
+// discarded.
 //
 // Errors. A failed trial stops dispatch. The run returns the error of
 // the smallest failing trial index the frontier reaches before the
@@ -77,9 +78,6 @@ type Options struct {
 	// TargetCI, if positive, stops the run once the 95% Wilson interval
 	// over the committed prefix is narrower than this width.
 	TargetCI float64
-	// MinTrials is the minimum number of committed trials before early
-	// stopping may trigger; 0 means 4 shards' worth.
-	MinTrials int
 }
 
 // DefaultShardSize is the trials-per-shard granularity when
@@ -140,13 +138,13 @@ type plan struct {
 	shardSize  int
 	shards     int
 	workers    int
-	minTrials  int
+	minTrials  int // committed trials before early stopping may trigger
 	newScratch func() any
 }
 
 func newPlan(trials int, seed uint64, opts Options) plan {
 	p := plan{seed: seed, trials: trials, shardSize: opts.ShardSize, workers: opts.Workers,
-		minTrials: opts.MinTrials, newScratch: opts.NewScratch}
+		newScratch: opts.NewScratch}
 	if p.shardSize <= 0 {
 		p.shardSize = DefaultShardSize
 		for (trials+p.shardSize-1)/p.shardSize > maxAutoShards {
@@ -158,9 +156,7 @@ func newPlan(trials int, seed uint64, opts Options) plan {
 		p.workers = runtime.GOMAXPROCS(0)
 	}
 	p.workers = min(p.workers, p.shards)
-	if p.minTrials <= 0 {
-		p.minTrials = 4 * p.shardSize
-	}
+	p.minTrials = 4 * p.shardSize
 	return p
 }
 

@@ -81,10 +81,6 @@ func (ps *Probes) engineOpts() parallel.Options {
 	}
 }
 
-func (ps *Probes) pipelineOpts(sc *core.Scratch) core.ExtractOptions {
-	return core.ExtractOptions{Scratch: sc, Dense: ps.cfg.Dense}
-}
-
 // Rate measures survival at node-failure probability p over the coupled
 // trial set.
 func (ps *Probes) Rate(p float64) (stats.Result, error) {
@@ -98,7 +94,7 @@ func (ps *Probes) Rate(p float64) (stats.Result, error) {
 				sc := scratch.(*core.Scratch)
 				faults := sc.Faults(g.NumNodes())
 				faults.Bernoulli(stream, p)
-				_, err := g.ContainTorus(faults, ps.pipelineOpts(sc))
+				_, err := g.ContainTorus(faults, core.ExtractOptions{Scratch: sc})
 				return classify(err)
 			})
 		return rep.Result, err
@@ -127,7 +123,7 @@ func (ps *Probes) Rate(p float64) (stats.Result, error) {
 					faults.Add(int(rs.idx[i]))
 				}
 			}
-			_, err := g.ContainTorus(faults, ps.pipelineOpts(sc))
+			_, err := g.ContainTorus(faults, core.ExtractOptions{Scratch: sc})
 			return classify(err)
 		})
 	return rep.Result, err
@@ -177,7 +173,7 @@ func (ps *Probes) Count(k int) (stats.Result, error) {
 				if err := faults.ExactRandom(stream, k); err != nil {
 					return stats.Failure, err
 				}
-				_, err := g.ContainTorus(faults, ps.pipelineOpts(sc))
+				_, err := g.ContainTorus(faults, core.ExtractOptions{Scratch: sc})
 				return classify(err)
 			})
 		return rep.Result, err
@@ -204,7 +200,7 @@ func (ps *Probes) Count(k int) (stats.Result, error) {
 			for _, i := range cp.order[:k] {
 				faults.Add(int(i))
 			}
-			_, err := g.ContainTorus(faults, ps.pipelineOpts(sc))
+			_, err := g.ContainTorus(faults, core.ExtractOptions{Scratch: sc})
 			return classify(err)
 		})
 	return rep.Result, err

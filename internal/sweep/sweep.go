@@ -48,8 +48,6 @@ type Config struct {
 	// draws a fresh Bernoulli fault set and runs the pipeline cold. This
 	// is the ablation baseline the coupled engine is benchmarked against.
 	Independent bool
-	// Dense forces the legacy whole-host pipeline in every rung.
-	Dense bool
 }
 
 // Rung is one point of a measured survival curve.
@@ -106,7 +104,7 @@ func SurvivalCurve(g *core.Graph, rates []float64, trials int, seed uint64, cfg 
 		TargetCI:  cfg.TargetCI,
 		NewScratch: func() any {
 			sc := core.NewScratch(1)
-			return &curveScratch{sc: sc, ses: g.NewSession(sc, core.ExtractOptions{Dense: cfg.Dense})}
+			return &curveScratch{sc: sc, ses: g.NewSession(sc)}
 		},
 	}
 	var fn parallel.LadderTrial
@@ -119,7 +117,7 @@ func SurvivalCurve(g *core.Graph, rates []float64, trials int, seed uint64, cfg 
 				if stopped[r] {
 					continue
 				}
-				_, err := g.ContainTorus(faults, core.ExtractOptions{Scratch: cs.sc, Dense: cfg.Dense})
+				_, err := g.ContainTorus(faults, core.ExtractOptions{Scratch: cs.sc})
 				if out[r], err = classify(err); err != nil {
 					return err
 				}
